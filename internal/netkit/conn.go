@@ -183,15 +183,17 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(
 
 // Close closes the connection and returns its pooled state. It is
 // idempotent; the first call wins. The plane's live-connection tracking
-// is released here, so MaxConns accounting follows ownership exactly.
+// is released here, before the socket closes: a peer that has seen the
+// FIN never finds the connection still counted live, so MaxConns never
+// sheds on a connection its client already considers gone.
 func (c *Conn) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	err := c.nc.Close()
 	if c.plane != nil {
 		c.plane.untrack(c)
 	}
+	err := c.nc.Close()
 	br := c.br
 	c.br = nil
 	c.nc = nil

@@ -304,27 +304,8 @@ func BenchmarkQueuePushPop(b *testing.B) {
 func BenchmarkInject(b *testing.B) {
 	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven, WorkStealing} {
 		b.Run(kind.String(), func(b *testing.B) {
-			p := compileBench(b, microSrc)
-			pass := func(fl *Flow, in Record) (Record, error) { return in, nil }
-			bnd := NewBindings().
-				BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
-				BindNode("A", pass).
-				BindNode("B", pass).
-				BindNode("C", pass).
-				BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-			s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
-				SourceTimeout: time.Millisecond, KeepAlive: true})
-			if err != nil {
-				b.Fatalf("NewServer: %v", err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			if err := s.Start(ctx); err != nil {
-				b.Fatalf("Start: %v", err)
-			}
-			h, err := s.Source("Gen")
-			if err != nil {
-				b.Fatalf("Source: %v", err)
-			}
+			s, h, stop := startKeepAlive(b, kind,
+				func(fl *Flow, in Record) (Record, error) { return nil, nil })
 			rec := Record{1}
 			completed := &s.stats.Completed
 			b.ReportAllocs()
@@ -343,11 +324,69 @@ func BenchmarkInject(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			cancel()
-			_ = s.Wait()
+			stop()
 			if got := s.Stats().Snapshot().Completed; got != uint64(b.N) {
 				b.Fatalf("completed = %d, want %d", got, b.N)
 			}
+		})
+	}
+}
+
+// startKeepAlive starts a keep-alive server running microSrc whose only
+// source has retired, so flows enter solely through the returned Gen
+// handle, as on the connection plane. stop cancels and waits.
+func startKeepAlive(b *testing.B, kind EngineKind, sink NodeFunc, blocking ...string) (*Server, *SourceHandle, func()) {
+	b.Helper()
+	p := compileBench(b, microSrc)
+	pass := func(fl *Flow, in Record) (Record, error) { return in, nil }
+	bnd := NewBindings().
+		BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
+		BindNode("A", pass).
+		BindNode("B", pass).
+		BindNode("C", pass).
+		BindNode("Sink", sink).
+		MarkBlocking(blocking...)
+	s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
+		SourceTimeout: time.Millisecond, KeepAlive: true})
+	if err != nil {
+		b.Fatalf("NewServer: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := s.Start(ctx); err != nil {
+		b.Fatalf("Start: %v", err)
+	}
+	h, err := s.Source("Gen")
+	if err != nil {
+		b.Fatalf("Source: %v", err)
+	}
+	return s, h, func() { cancel(); _ = s.Wait() }
+}
+
+// BenchmarkBlockingHop measures one request-shaped flow with a blocking
+// node: a single Inject into an idle keep-alive server, awaited until
+// Sink runs, so every iteration pays the wake of a parked engine plus
+// the hop out to the blocking-offload pool and back (the web server's
+// per-request shape). The other microbenchmarks never block, which is
+// how a 20 µs steal-engine hop went unseen.
+func BenchmarkBlockingHop(b *testing.B) {
+	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven, WorkStealing} {
+		b.Run(kind.String(), func(b *testing.B) {
+			done := make(chan struct{}, 1)
+			_, h, stop := startKeepAlive(b, kind, func(fl *Flow, in Record) (Record, error) {
+				done <- struct{}{}
+				return nil, nil
+			}, "B")
+			rec := Record{1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := h.Inject(rec); err != nil {
+					b.Fatalf("Inject: %v", err)
+				}
+				<-done
+			}
+			b.StopTimer()
+			stop()
 		})
 	}
 }

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -314,11 +313,14 @@ func (e *stealEngine) pushTo(d *stealDispatcher, ev event) {
 	d.signalWake()
 }
 
-// loop is the dispatcher body. With at most one dispatcher per core
-// (the default), each is pinned to an OS thread, approximating the
-// per-core event loops of multicore event designs and keeping a deque's
-// cache lines home; oversubscribed configurations stay unpinned so
-// dispatcher switches remain cheap goroutine switches.
+// loop is the dispatcher body. Dispatchers are plain goroutines, not
+// pinned to OS threads: they park whenever they run dry, and waking a
+// parked goroutine locked to its thread is a locked-M hand-off through
+// futex (startlockedm/stopm), not a goroutine switch. Pinned, that
+// hand-off took the steal engine's mean hop gap from 0.4 µs to 8.5 µs
+// and cost bench/'s steal_small_keepalive 44 % of its throughput
+// (EXPERIMENTS.md, PR 21); unpinned, they pay the event engine's
+// goroutine-switch price.
 //
 // Local work is claimed in owner-side batches (nextBatch), one deque
 // mutex round trip per stealBatch events instead of one per event. The
@@ -330,10 +332,6 @@ func (e *stealEngine) pushTo(d *stealDispatcher, ev event) {
 // the same bound the event engine accepts.
 func (d *stealDispatcher) loop() {
 	e := d.e
-	if len(e.disp) <= runtime.GOMAXPROCS(0) {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	var buf [stealBatch]event
 	for {
 		n, ok := d.nextBatch(buf[:])

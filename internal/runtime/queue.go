@@ -29,6 +29,9 @@ type fifo[T any] struct {
 	hi, ti     int
 	size       int
 	closed     bool
+	// waiting counts poppers blocked in popBatch, so a popper that
+	// finds a backlog leaves their share of it.
+	waiting int
 	// spare recycles the most recently drained chunk so a steady
 	// producer/consumer pair allocates nothing.
 	spare *fifoChunk[T]
@@ -129,17 +132,27 @@ func (q *fifo[T]) pop() (v T, ok bool) {
 // popBatch fills buf with up to len(buf) items in FIFO order, blocking
 // until at least one is available. It returns n == 0, ok == false only
 // when the queue is closed and drained. Batch popping amortizes the
-// queue's mutex over several items for pool workers draining a backlog;
-// with a short queue it degenerates to pop (n == 1), so idle workers are
-// not starved by one worker grabbing everything.
+// queue's mutex over several items for pool workers draining a backlog.
+// While other poppers are blocked here a popper takes only its fair
+// share (size / (waiting+1), rounded up), so idle workers are not
+// starved by one worker grabbing everything: a pool worker runs its
+// batch serially, and a flow that blocks (an idle keep-alive read)
+// would strand the rest of its batch while workers sat idle.
 func (q *fifo[T]) popBatch(buf []T) (n int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.size == 0 && !q.closed {
+		q.waiting++
 		q.cond.Wait()
+		q.waiting--
 	}
 	if q.size == 0 {
 		return 0, false
+	}
+	if q.waiting > 0 {
+		if share := (q.size + q.waiting) / (q.waiting + 1); share < len(buf) {
+			buf = buf[:share]
+		}
 	}
 	for n < len(buf) && q.size > 0 {
 		buf[n] = q.popOneLocked()

@@ -85,6 +85,30 @@ func TestFIFOCloseWakesWaiters(t *testing.T) {
 	}
 }
 
+// TestFIFOPopBatchLeavesWaitersAShare: with poppers blocked in popBatch,
+// a batch takes only its fair share of the backlog, so a pool worker
+// cannot claim admissions idle workers could run (and strand them behind
+// a flow that blocks); with nobody waiting it takes a full batch.
+func TestFIFOPopBatchLeavesWaitersAShare(t *testing.T) {
+	q := newFIFO[int]()
+	for i := 0; i < 8; i++ {
+		q.push(i)
+	}
+	buf := make([]int, poolBatch)
+	q.mu.Lock()
+	q.waiting = 3 // as if three workers sat in cond.Wait
+	q.mu.Unlock()
+	if n, _ := q.popBatch(buf); n != 2 {
+		t.Fatalf("popBatch with 3 waiters took %d of 8, want 2", n)
+	}
+	q.mu.Lock()
+	q.waiting = 0
+	q.mu.Unlock()
+	if n, _ := q.popBatch(buf); n != 6 || buf[0] != 2 {
+		t.Fatalf("popBatch with no waiters took %d starting at %d, want 6 starting at 2", n, buf[0])
+	}
+}
+
 func TestFIFOTryPopAndLen(t *testing.T) {
 	q := newFIFO[int]()
 	if _, ok := q.tryPop(); ok {

@@ -127,9 +127,13 @@ func TestShutdownWhileInjecting(t *testing.T) {
 	} {
 		t.Run(kind.String(), func(t *testing.T) {
 			srv, err := New(Config{
-				Files:         files,
-				Engine:        kind,
-				PoolSize:      4,
+				Files:  files,
+				Engine: kind,
+				// Above the 7 conversations: on the thread pool each idle
+				// keep-alive connection holds a worker inside read(2) for
+				// the whole test, and the busy clients need workers of
+				// their own.
+				PoolSize:      8,
 				SourceTimeout: 2 * time.Millisecond,
 				ScriptWork:    50,
 			})
@@ -222,6 +226,96 @@ func TestShutdownWhileInjecting(t *testing.T) {
 			}
 			if served.Load() == 0 {
 				t.Error("no requests served before shutdown (test raced)")
+			}
+		})
+	}
+}
+
+// TestFlowAccountingMatchesConversations pins the invariant bench/'s
+// validity guard enforces (Completed == responses, Errored ==
+// teardowns, no sheds) on every engine: each keep-alive response is one
+// completed flow, and each client close ends one flow through the
+// ReadRequest error route.
+//
+// The test waits for the counters before Shutdown on purpose. Complete
+// re-injects the connection for its next request; a Shutdown racing
+// that Reinject refuses it, and the connection is dropped and counted
+// as a plane shed instead of reaching Discard (documented Reinject
+// behaviour). Without the wait the steal engine lands there about 1 in
+// 30 runs.
+func TestFlowAccountingMatchesConversations(t *testing.T) {
+	const conns, reqs = 3, 20
+	files := loadgen.NewFileSet(1)
+	for _, kind := range []runtime.EngineKind{
+		runtime.ThreadPerFlow, runtime.ThreadPool, runtime.EventDriven, runtime.WorkStealing,
+	} {
+		t.Run(kind.String(), func(t *testing.T) {
+			srv, err := New(Config{
+				Files:         files,
+				Engine:        kind,
+				PoolSize:      8,
+				SourceTimeout: 2 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if err := srv.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < conns; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					conn, err := net.DialTimeout("tcp", srv.Addr(), 2*time.Second)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer conn.Close()
+					conn.SetDeadline(time.Now().Add(10 * time.Second))
+					br := bufio.NewReader(conn)
+					for i := 0; i < reqs; i++ {
+						fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n\r\n", files.Path(0, 0, i%9+1))
+						status, srvClose, _, err := readFullResponse(br)
+						if err != nil || status != 200 || srvClose {
+							t.Errorf("request %d: status %d close %v err %v", i, status, srvClose, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				st := srv.Stats().Snapshot()
+				if st.Completed == conns*reqs && st.Errored == conns {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("flows never settled: completed %d errored %d", st.Completed, st.Errored)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer shCancel()
+			if err := srv.Shutdown(shCtx); err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+			if err := srv.Wait(); err != nil && err != ctx.Err() {
+				t.Errorf("Wait: %v", err)
+			}
+
+			st := srv.Stats().Snapshot()
+			if st.Completed != conns*reqs || st.Errored != conns || st.Dropped != 0 {
+				t.Errorf("completed/errored/dropped = %d/%d/%d, want %d/%d/0",
+					st.Completed, st.Errored, st.Dropped, conns*reqs, conns)
+			}
+			if shed := srv.PlaneStats().Shed; shed != 0 {
+				t.Errorf("plane shed %d, want 0", shed)
 			}
 		})
 	}
