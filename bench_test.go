@@ -246,11 +246,11 @@ func BenchmarkFigure6SimVsActual(b *testing.B) {
 	defer runtime.GOMAXPROCS(prevProcs)
 	compressWork := 2 * time.Millisecond
 
-	runProfiled := func() (*flux.Program, *flux.Profiler) {
-		prof := flux.NewProfiler()
+	runProfiled := func() (*flux.Program, *flux.Telemetry) {
+		tel := flux.NewTelemetry()
 		srv, err := imageserver.New(imageserver.Config{
 			Engine: flux.ThreadPool, PoolSize: 8,
-			CompressWork: compressWork, CacheBytes: 1, Profiler: prof,
+			CompressWork: compressWork, CacheBytes: 1, Telemetry: tel,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -263,12 +263,12 @@ func BenchmarkFigure6SimVsActual(b *testing.B) {
 		})
 		cancel()
 		<-done
-		return srv.Program(), prof
+		return srv.Program(), tel
 	}
 
 	runtime.GOMAXPROCS(1)
-	prog, prof := runProfiled()
-	params := flux.ParamsFromProfile(prog, prof)
+	prog, tel := runProfiled()
+	params := flux.ParamsFromTelemetry(prog, tel)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -289,12 +289,12 @@ func BenchmarkFigure6SimVsActual(b *testing.B) {
 // and reports the hot-path split (§5.2's transfer vs empty-poll paths).
 func BenchmarkPathProfileBitTorrent(b *testing.B) {
 	meta, data := benchTorrentData(b)
-	prof := flux.NewProfiler()
+	tel := flux.NewTelemetry()
 	srv, err := bittorrent.New(bittorrent.Config{
 		Meta: meta, Content: data,
 		Engine: flux.ThreadPool, PoolSize: 16,
 		PollInterval: 300 * time.Microsecond,
-		Profiler:     prof,
+		Telemetry:    tel,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -314,12 +314,12 @@ func BenchmarkPathProfileBitTorrent(b *testing.B) {
 	b.StopTimer()
 
 	g := srv.Program().Graphs["Poll"]
-	rows := prof.HotPaths(g, flux.ByCount, 2)
+	rows := tel.PathProfile(g, flux.ByCount, 0).Paths
 	if len(rows) > 0 {
 		b.ReportMetric(float64(rows[0].Count), "top-path-count")
 	}
 	var transferMean, pollCount float64
-	for _, r := range prof.HotPaths(g, flux.ByCount, 0) {
+	for _, r := range rows {
 		if strings.Contains(r.Label, "Request") {
 			transferMean = float64(r.Mean().Microseconds())
 		}
@@ -407,14 +407,15 @@ atomic Lookup:{tableMODE};
 
 // BenchmarkAblationProfilingOverhead measures the cost of path
 // profiling (§5.2 claims one arithmetic op and two timer calls per
-// node): the same web server with and without a profiler attached.
+// node): the same web server with and without a telemetry plane, whose
+// per-path slots are the profile.
 func BenchmarkAblationProfilingOverhead(b *testing.B) {
 	files := loadgen.NewFileSet(1)
 	for _, mode := range []string{"uninstrumented", "profiled"} {
 		b.Run(mode, func(b *testing.B) {
 			cfg := webserver.Config{Files: files, Engine: flux.ThreadPool, PoolSize: 16}
 			if mode == "profiled" {
-				cfg.Profiler = flux.NewProfiler()
+				cfg.Telemetry = flux.NewTelemetry()
 			}
 			srv, err := webserver.New(cfg)
 			if err != nil {

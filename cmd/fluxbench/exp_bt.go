@@ -272,14 +272,13 @@ func expProfile(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	prof := flux.NewProfiler()
+	tel := profilingPlane(cfg)
 	srv, err := bittorrent.New(bittorrent.Config{
 		Meta: meta, Content: data,
 		Engine:       flux.ThreadPool,
 		PoolSize:     32,
 		PollInterval: 500 * time.Microsecond,
-		Profiler:     prof,
-		Telemetry:    cfg.tel,
+		Telemetry:    tel,
 	})
 	if err != nil {
 		return err
@@ -306,8 +305,8 @@ func expProfile(cfg benchConfig) error {
 
 	fmt.Printf("load: %d clients, %v — %s\n\n", clients, duration, res)
 	g := srv.Program().Graphs["Poll"]
-	fmt.Println(prof.Report(g, flux.ByCount, 8))
-	fmt.Println(prof.Report(g, flux.ByTotalTime, 8))
+	fmt.Println(tel.PathProfile(g, flux.ByCount, 8).Render())
+	fmt.Println(tel.PathProfile(g, flux.ByTotalTime, 8).Render())
 	fmt.Println("paper (§5.2): transfer path most expensive (0.295 ms); empty-poll ERROR path most")
 	fmt.Println("frequent (780,510 executions vs 313,994 transfers, 13% of execution time)")
 	return nil

@@ -104,9 +104,12 @@ func expOverload(cfg benchConfig) error {
 		c.Engine = flux.EventDriven
 		c.PoolSize = 64
 		c.SourceTimeout = 20 * time.Millisecond
-		// The shared -obs plane rides every target; per-run planes (the
-		// adaptive trajectory below) join through the Observer slot.
-		c.Telemetry = cfg.tel
+		// The shared -obs plane rides every target that brings no plane
+		// of its own; the adaptive runs below each keep a per-run plane,
+		// because their trajectory readout needs one plane per run.
+		if c.Telemetry == nil {
+			c.Telemetry = cfg.tel
+		}
 		// Slow-loris hardening rides along on the bounded targets: a
 		// stalled request head or a dead keep-alive peer is reaped and
 		// counted instead of pinning capacity for the whole run.
@@ -126,7 +129,7 @@ func expOverload(cfg benchConfig) error {
 	}
 
 	// One fresh telemetry plane per flux-adaptive run, in rate order: it
-	// joins the observer chain, so the controller's Sink publishes each
+	// is the run's observer, so the controller's Sink publishes each
 	// control step's ctrl/* windows into it, and the trajectory printout
 	// below is just a snapshot read — no ad-hoc stream scraping.
 	var traces []*flux.Telemetry
@@ -137,7 +140,7 @@ func expOverload(cfg benchConfig) error {
 		{"flux-adaptive", func(*loadgen.FileSet) (string, func(), error) {
 			tr := flux.NewTelemetry()
 			traces = append(traces, tr)
-			return startFlux(webserver.Config{TargetP95: targetP95, Observer: tr})
+			return startFlux(webserver.Config{TargetP95: targetP95, Telemetry: tr})
 		}},
 		{"flux-event-unbd", func(*loadgen.FileSet) (string, func(), error) {
 			return startFlux(webserver.Config{})

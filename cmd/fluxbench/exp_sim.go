@@ -36,13 +36,13 @@ func expFigure6(cfg benchConfig) error {
 	// --- Step 1: profile on a single processor (the paper's
 	// one-CPU parameterization run).
 	runtime.GOMAXPROCS(1)
-	prof := flux.NewProfiler()
-	prog, baseRate, err := profileImageServer(cfg, prof, compressWork, profileDuration)
+	tel := profilingPlane(cfg)
+	prog, baseRate, err := profileImageServer(tel, compressWork, profileDuration)
 	if err != nil {
 		return err
 	}
 
-	params := flux.ParamsFromProfile(prog, prof)
+	params := flux.ParamsFromTelemetry(prog, tel)
 	serviceMean := params.NodeTime["Compress"]
 	if serviceMean <= 0 {
 		return fmt.Errorf("profiling run observed no Compress executions")
@@ -97,16 +97,25 @@ func totalServiceMean(p flux.SimParams) float64 {
 	return total
 }
 
+// profilingPlane is the telemetry plane a profiling run reports to:
+// the shared -obs plane when there is one, else a private one. Path
+// profiles are per compiled graph, so sharing never mixes runs.
+func profilingPlane(cfg benchConfig) *flux.Telemetry {
+	if cfg.tel != nil {
+		return cfg.tel
+	}
+	return flux.NewTelemetry()
+}
+
 // profileImageServer runs the instrumented server under moderate load
 // and returns its program and the offered rate used.
-func profileImageServer(cfg benchConfig, prof *flux.Profiler, compressWork, duration time.Duration) (*flux.Program, float64, error) {
+func profileImageServer(tel *flux.Telemetry, compressWork, duration time.Duration) (*flux.Program, float64, error) {
 	srv, err := imageserver.New(imageserver.Config{
 		Engine:       flux.ThreadPool,
 		PoolSize:     8,
 		CompressWork: compressWork,
 		CacheBytes:   1, // disable caching: every request compresses
-		Profiler:     prof,
-		Telemetry:    cfg.tel,
+		Telemetry:    tel,
 	})
 	if err != nil {
 		return nil, 0, err

@@ -344,9 +344,6 @@ func webTargets(cfg benchConfig, files *loadgen.FileSet) []webTarget {
 				SourceTimeout: 20 * time.Millisecond,
 				Telemetry:     cfg.tel,
 			}
-			if cfg.prof != nil {
-				c.Profiler = cfg.prof
-			}
 			srv, err := webserver.New(c)
 			if err != nil {
 				return "", nil, err

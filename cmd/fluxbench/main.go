@@ -23,9 +23,10 @@
 // default sizes produce the shapes reported in EXPERIMENTS.md.
 //
 // -obs opens the live ops endpoint (internal/telemetry) on addr and
-// attaches one shared telemetry plane plus a path profiler to every
-// Flux server the experiments start: /metrics, /debug/pprof/*, and the
-// /debug/flux/* JSON views (fluxtop's feed) all serve mid-run.
+// attaches one shared telemetry plane to every Flux server the
+// experiments start: /metrics, /debug/pprof/*, and the /debug/flux/*
+// JSON views (fluxtop's feed, and the §5.2 path profile on
+// /debug/flux/paths) all serve mid-run.
 // -obs-hold keeps the endpoint up that long after the experiments
 // finish, so a scrape race never cuts an inspection short.
 package main
@@ -41,11 +42,9 @@ import (
 
 type benchConfig struct {
 	quick bool
-	// tel and prof are non-nil only under -obs: the shared telemetry
-	// plane and path profiler every Flux target in the experiments
-	// attaches, feeding the ops endpoint.
-	tel  *flux.Telemetry
-	prof *flux.Profiler
+	// tel is non-nil only under -obs: the shared telemetry plane every
+	// Flux target in the experiments attaches, feeding the ops endpoint.
+	tel *flux.Telemetry
 }
 
 func main() {
@@ -59,9 +58,8 @@ func main() {
 	var ops *flux.Ops
 	if *obs != "" {
 		cfg.tel = flux.NewTelemetry()
-		cfg.prof = flux.NewProfiler()
 		var err error
-		ops, err = flux.ServeOps(*obs, cfg.tel, flux.WithOpsProfiler(cfg.prof))
+		ops, err = flux.ServeOps(*obs, cfg.tel)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fluxbench: ops endpoint: %v\n", err)
 			os.Exit(1)

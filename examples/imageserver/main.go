@@ -31,13 +31,13 @@ func main() {
 	demo := flag.Bool("demo", true, "run the built-in load + prediction demo, then exit")
 	flag.Parse()
 
-	prof := flux.NewProfiler()
+	tel := flux.NewTelemetry()
 	srv, err := imageserver.New(imageserver.Config{
 		Addr:          *addr,
 		Engine:        engineKind(*engine),
 		SourceTimeout: 5 * time.Millisecond,
 		CompressWork:  2 * time.Millisecond, // calibrated compression cost
-		Profiler:      prof,
+		Telemetry:     tel,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -71,11 +71,11 @@ func main() {
 
 	// Hot paths (§5.2).
 	g := srv.Program().Graphs["Listen"]
-	fmt.Printf("\n%s\n", prof.Report(g, flux.ByTotalTime, 5))
+	fmt.Printf("\n%s\n", tel.PathProfile(g, flux.ByTotalTime, 5).Render())
 
 	// Predict performance on more CPUs from the observed parameters
 	// (§5.1, Figure 6 workflow).
-	params := flux.ParamsFromProfile(srv.Program(), prof)
+	params := flux.ParamsFromTelemetry(srv.Program(), tel)
 	params.Duration, params.Warmup, params.Seed = 20, 2, 1
 	params.Sources = map[string]flux.SimSourceParams{"Listen": {Rate: 200}}
 	fmt.Println("predicted throughput at offered load 200 req/s:")

@@ -53,8 +53,11 @@
 //
 // Observability is one plane: the always-on Stats counters, and an
 // optional Observer (flow terminals including drops and errors, node
-// completions, engine queue-depth samples) attached with WithObserver;
-// the §5.2 path profiler joins the same plane through WithProfiler.
+// completions, engine queue-depth samples) attached with WithObserver.
+// The standard observer is the Telemetry plane (WithTelemetry), and the
+// §5.2 path profile is a view of it: Telemetry.PathProfile ranks the
+// Ball-Larus paths it counts, and ServeOps serves them live on
+// /debug/flux/paths.
 //
 // See examples/ for complete servers: the paper's image-compression
 // server (Figure 2), an HTTP/1.1 web server, a BitTorrent peer
@@ -67,7 +70,6 @@ import (
 	"github.com/flux-lang/flux/internal/codegen"
 	"github.com/flux-lang/flux/internal/core"
 	"github.com/flux-lang/flux/internal/lang/parser"
-	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/sim"
 	"github.com/flux-lang/flux/internal/telemetry"
@@ -84,8 +86,8 @@ type Warning = core.Warning
 // FlatGraph is one source's flattened, path-numbered executable flow.
 type FlatGraph = core.FlatGraph
 
-// FlatNode is one vertex of a flattened flow, as seen by Observer and
-// Profiler callbacks.
+// FlatNode is one vertex of a flattened flow, as seen by Observer
+// callbacks.
 type FlatNode = core.FlatNode
 
 // Compile parses and analyzes a Flux program. The name appears in
@@ -211,8 +213,6 @@ var (
 	// WithSourceTimeout sets the event engine's source polling deadline
 	// (default 20ms).
 	WithSourceTimeout = runtime.WithSourceTimeout
-	// WithProfiler attaches a §5.2 path/node profiler.
-	WithProfiler = runtime.WithProfiler
 	// WithObserver attaches an observer to the unified plane.
 	WithObserver = runtime.WithObserver
 	// WithKeepAlive keeps the server admitting Inject flows after its
@@ -230,37 +230,30 @@ var (
 // the Observer interface, served over HTTP by ServeOps.
 type (
 	// Telemetry is the zero-alloc aggregation plane: per-graph flow
-	// latency histograms, per-node latency histograms, windowed
-	// queue-depth and ctrl/* series, shed counters, sampled flow
-	// traces. Attach with WithTelemetry; serve with ServeOps.
+	// latency histograms and per-path counts (the §5.2 path profile),
+	// per-node latency histograms, windowed queue-depth and ctrl/*
+	// series, shed counters, sampled flow traces. Attach with
+	// WithTelemetry; serve with ServeOps.
 	Telemetry = telemetry.Telemetry
 	// TelemetrySnapshot is a point-in-time copy of the whole plane.
 	TelemetrySnapshot = telemetry.Snapshot
 	// Ops is a running ops HTTP endpoint (/metrics, /debug/pprof/*,
 	// /debug/flux/*).
 	Ops = telemetry.Ops
-	// ServeOption configures ServeOps.
-	ServeOption = telemetry.ServeOption
 )
 
 // NewTelemetry returns a telemetry plane with default 1-in-128 flow
-// trace sampling.
+// trace sampling per path.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // WithTelemetry attaches the telemetry plane to a server alongside any
 // other configured observer (it composes, never replaces).
-func WithTelemetry(t *Telemetry) Option { return runtime.WithAddedObserver(t) }
+func WithTelemetry(t *Telemetry) Option { return runtime.WithAddedObserver(t.Observer()) }
 
 // ServeOps starts the ops HTTP listener on addr ("" or ":0" pick a
 // port) serving /metrics, /debug/pprof/*, and the /debug/flux/* JSON
 // views of t.
-func ServeOps(addr string, t *Telemetry, opts ...ServeOption) (*Ops, error) {
-	return telemetry.Serve(addr, t, opts...)
-}
-
-// WithOpsProfiler attaches a path profiler to an ops endpoint so
-// /debug/flux/paths serves its ranked hot paths.
-func WithOpsProfiler(p *Profiler) ServeOption { return telemetry.WithProfiler(p) }
+func ServeOps(addr string, t *Telemetry) (*Ops, error) { return telemetry.Serve(addr, t) }
 
 // RegisterEngine makes a new engine selectable through WithEngine —
 // the extension point behind the three built-in runtimes.
@@ -279,30 +272,23 @@ func MultiObserver(obs ...Observer) Observer { return runtime.MultiObserver(obs.
 // so timer flows never wedge the event engine's dispatcher.
 func IntervalSource(d time.Duration) SourceFunc { return runtime.IntervalSource(d) }
 
-// Profiling (§5.2).
+// Path profiling (§5.2): Telemetry.PathProfile ranks a graph's paths.
 type (
-	// Profiler aggregates Ball-Larus path counts/times and per-node
-	// statistics from a running server.
-	Profiler = profile.Profiler
 	// PathReport is one ranked hot-path row.
-	PathReport = profile.PathReport
+	PathReport = telemetry.PathReport
 	// SortBy selects the hot-path ranking criterion.
-	SortBy = profile.SortBy
+	SortBy = telemetry.SortBy
 )
 
 // Hot-path rankings.
 const (
 	// ByCount ranks by execution frequency.
-	ByCount = profile.ByCount
+	ByCount = telemetry.ByCount
 	// ByTotalTime ranks by cumulative time.
-	ByTotalTime = profile.ByTotalTime
+	ByTotalTime = telemetry.ByTotalTime
 	// ByMeanTime ranks by per-execution cost.
-	ByMeanTime = profile.ByMeanTime
+	ByMeanTime = telemetry.ByMeanTime
 )
-
-// NewProfiler returns an empty path profiler; attach it with
-// WithProfiler.
-func NewProfiler() *Profiler { return profile.New() }
 
 // Simulation (§5.1).
 type (
@@ -321,12 +307,12 @@ func Simulate(p *Program, params SimParams) SimResult {
 	return sim.New(p, params).Run()
 }
 
-// ParamsFromProfile derives simulator parameters (node means, branch
-// probabilities, error rates) from a profiling run — the observed-
-// parameter workflow of §5.1. The caller supplies arrival rates and the
-// CPU count.
-func ParamsFromProfile(p *Program, prof *Profiler) SimParams {
-	return sim.FromProfile(p, prof)
+// ParamsFromTelemetry derives simulator parameters (node means, branch
+// probabilities, error rates) from a telemetry plane that observed a run
+// of p — the observed-parameter workflow of §5.1. The caller supplies
+// arrival rates and the CPU count.
+func ParamsFromTelemetry(p *Program, t *Telemetry) SimParams {
+	return sim.FromTelemetry(p, t)
 }
 
 // Code generation (§3.1).

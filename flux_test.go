@@ -87,7 +87,7 @@ Flow = Sink;
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := flux.NewProfiler()
+	tel := flux.NewTelemetry()
 	var n atomic.Int64
 	b := flux.NewBindings().
 		BindSource("Gen", func(fl *flux.Flow) (flux.Record, error) {
@@ -97,7 +97,7 @@ Flow = Sink;
 			return flux.Record{1}, nil
 		}).
 		BindNode("Sink", func(fl *flux.Flow, in flux.Record) (flux.Record, error) { return nil, nil })
-	srv, err := flux.New(prog, b, flux.WithEngine(flux.ThreadPerFlow), flux.WithProfiler(prof))
+	srv, err := flux.New(prog, b, flux.WithEngine(flux.ThreadPerFlow), flux.WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ Flow = Sink;
 		t.Fatal(err)
 	}
 	g := prog.Graphs["Gen"]
-	rows := prof.HotPaths(g, flux.ByCount, 0)
+	rows := tel.PathProfile(g, flux.ByCount, 0).Paths
 	if len(rows) != 1 || rows[0].Count != 5 {
 		t.Errorf("hot paths = %+v", rows)
 	}

@@ -419,6 +419,17 @@ func (e *inlineEngine) Start(ctx context.Context) error {
 			}
 		}(st)
 	}
+	if e.s.cfg.KeepAlive {
+		// As in the real engines: a virtual source retiring only on
+		// cancellation keeps Inject admitted after the sources exhaust.
+		// Registration is global, so later -count rounds of
+		// TestInjectRunsFlows run this engine too.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-ctx.Done()
+		}()
+	}
 	go func() {
 		wg.Wait()
 		close(e.done)
@@ -443,7 +454,7 @@ func (e *inlineEngine) Drain(ctx context.Context) error { return awaitDone(e.don
 type recordingObserver struct {
 	mu       sync.Mutex
 	outcomes map[FlowOutcome]int
-	paths    map[uint64]int
+	paths    map[FlowOutcome]map[uint64]int // outcome -> path ID -> count
 	nodes    map[string]int
 	samples  int
 }
@@ -453,10 +464,13 @@ func (r *recordingObserver) FlowDone(g *core.FlatGraph, pathID uint64, outcome F
 	defer r.mu.Unlock()
 	if r.outcomes == nil {
 		r.outcomes = make(map[FlowOutcome]int)
-		r.paths = make(map[uint64]int)
+		r.paths = make(map[FlowOutcome]map[uint64]int)
 	}
 	r.outcomes[outcome]++
-	r.paths[pathID]++
+	if r.paths[outcome] == nil {
+		r.paths[outcome] = make(map[uint64]int)
+	}
+	r.paths[outcome][pathID]++
 }
 
 func (r *recordingObserver) NodeDone(g *core.FlatGraph, v *core.FlatNode, _ time.Duration) {
@@ -476,7 +490,7 @@ func (r *recordingObserver) QueueDepth(EngineKind, string, int) {
 
 // TestObserverSeesDroppedFlows: flows terminated at an unmatched
 // dispatch case must reach FlowDone with FlowDropped — the §5.2 blind
-// spot this plane closes — and a configured Profiler must see them too.
+// spot this plane closes.
 func TestObserverSeesDroppedFlows(t *testing.T) {
 	src := `
 Gen () => (int v);
@@ -489,13 +503,12 @@ Route:[big] = Big;
 `
 	p := compileSrc(t, src)
 	obs := &recordingObserver{}
-	prof := &profileRecorder{}
 	b := NewBindings().
 		BindSource("Gen", counterSource(10)).
 		BindPredicate("IsBig", func(v any) bool { return v.(int) > 5 }).
 		BindNode("Big", nopNode).
 		BindNode("Sink", nopNode)
-	s, err := NewServer(p, b, Config{Kind: ThreadPool, PoolSize: 2, Observer: obs, Profiler: prof})
+	s, err := NewServer(p, b, Config{Kind: ThreadPool, PoolSize: 2, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,15 +519,6 @@ Route:[big] = Big;
 	defer obs.mu.Unlock()
 	if obs.outcomes[FlowDropped] != 5 || obs.outcomes[FlowCompleted] != 5 {
 		t.Errorf("outcomes = %v, want 5 dropped / 5 completed", obs.outcomes)
-	}
-	prof.mu.Lock()
-	defer prof.mu.Unlock()
-	total := 0
-	for _, n := range prof.flows {
-		total += n
-	}
-	if total != 10 {
-		t.Errorf("profiler FlowDone saw %d flows, want 10 (drops included)", total)
 	}
 }
 
@@ -570,20 +574,11 @@ func TestFlowOutcomeString(t *testing.T) {
 	}
 }
 
-// dropAwareProfiler implements both Profiler and DropProfiler, so the
-// adapter must route drops to the drop bucket only.
-type dropAwareProfiler struct {
-	profileRecorder
-	drops atomic.Int64
-}
-
-func (d *dropAwareProfiler) FlowDropped(*core.FlatGraph, uint64, time.Duration) {
-	d.drops.Add(1)
-}
-
-// TestDropProfilerRouting: with a DropProfiler attached, dropped flows
-// reach FlowDropped and never FlowDone — complete-path stats stay
-// honest even when a drop's partial register aliases a real path ID.
+// TestDropProfilerRouting: a dropped flow reaches the observer as
+// FlowDropped with its partial path register, and that register can
+// equal a complete path's ID — here the only completed path's. A path
+// profile must therefore route drops by outcome into a bucket of their
+// own (the telemetry plane's drop slot), never by ID into a path.
 func TestDropProfilerRouting(t *testing.T) {
 	p := compileSrc(t, `
 Gen () => (int v);
@@ -594,29 +589,28 @@ Flow = Route -> Sink;
 typedef big IsBig;
 Route:[big] = Big;
 `)
-	prof := &dropAwareProfiler{}
+	obs := &recordingObserver{}
 	b := NewBindings().
 		BindSource("Gen", counterSource(10)).
 		BindPredicate("IsBig", func(v any) bool { return v.(int) > 5 }).
 		BindNode("Big", nopNode).
 		BindNode("Sink", nopNode)
-	s, err := NewServer(p, b, Config{Kind: ThreadPool, PoolSize: 2, Profiler: prof})
+	s, err := NewServer(p, b, Config{Kind: ThreadPool, PoolSize: 2, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := prof.drops.Load(); got != 5 {
-		t.Errorf("FlowDropped saw %d, want 5", got)
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	drops, done := obs.paths[FlowDropped], obs.paths[FlowCompleted]
+	if len(drops) != 1 || len(done) != 1 {
+		t.Fatalf("paths by outcome = %v, want one dropped and one completed register", obs.paths)
 	}
-	prof.mu.Lock()
-	defer prof.mu.Unlock()
-	total := 0
-	for _, n := range prof.flows {
-		total += n
-	}
-	if total != 5 {
-		t.Errorf("FlowDone saw %d flows, want 5 (completions only)", total)
+	for id, n := range drops {
+		if done[id] != 5 || n != 5 {
+			t.Errorf("drop register %d (x%d) does not alias the completed path (%v)", id, n, done)
+		}
 	}
 }

@@ -33,10 +33,8 @@ func (o FlowOutcome) String() string {
 	}
 }
 
-// Observer is the server's unified observability plane. It subsumes the
-// three observation paths that used to exist separately — the Stats
-// counters, the Profiler interface, and ad-hoc metrics plumbing — behind
-// one event surface:
+// Observer is the server's unified observability plane — one event
+// surface for everything beyond the Stats counters:
 //
 //   - FlowDone fires at every flow terminal, including error terminals
 //     and drops at an unmatched dispatch, with the Ball-Larus path
@@ -51,10 +49,9 @@ func (o FlowOutcome) String() string {
 // The observer is resolved once at server construction and consulted
 // through one nil check on the hot path, so an unobserved server pays
 // nothing — the PR 1 zero-allocation path is preserved. Implementations
-// must be safe for concurrent use. The Stats counters remain the
-// always-on, allocation-free core the server maintains itself;
-// ObserveProfiler adapts a Profiler to this interface, and
-// MultiObserver fans events out to several observers.
+// must be safe for concurrent use. MultiObserver fans events out to
+// several observers. The telemetry package's plane is the standard
+// implementation, and its per-path slots are the §5.2 path profile.
 type Observer interface {
 	// FlowDone records a terminated flow: its graph, Ball-Larus path ID,
 	// outcome, and elapsed wall time.
@@ -63,18 +60,6 @@ type Observer interface {
 	NodeDone(g *core.FlatGraph, v *core.FlatNode, elapsed time.Duration)
 	// QueueDepth records one sample of a named engine queue.
 	QueueDepth(kind EngineKind, queue string, depth int)
-}
-
-// DropProfiler is the optional extension a Profiler implements to
-// record dropped flows separately. A flow dropped at an unmatched
-// dispatch carries a partial Ball-Larus register, which can equal the ID
-// of a legitimate complete path (the zero-increment suffix reaches a
-// terminal), so folding drops into FlowDone would silently corrupt that
-// path's §5.2 statistics. The profile package implements this.
-type DropProfiler interface {
-	// FlowDropped records a flow terminated at an unmatched dispatch
-	// case, keyed by its partial path register.
-	FlowDropped(g *core.FlatGraph, pathID uint64, elapsed time.Duration)
 }
 
 // QueueSteals is the work-stealing engine's cumulative steal count,
@@ -143,41 +128,6 @@ func ConnShed(obs Observer, server, reason string) {
 	if so, ok := obs.(ShedObserver); ok {
 		so.ConnShed(server, reason)
 	}
-}
-
-// profilerObserver adapts the legacy Profiler interface to the Observer
-// plane. Dropped flows are recorded like error paths — the partial path
-// register identifies the route up to the unmatched dispatch — closing
-// the blind spot where drops never reached the profiler. Profilers
-// implementing DropProfiler get drops in their own bucket; plain
-// Profilers get them through FlowDone.
-type profilerObserver struct {
-	p Profiler
-}
-
-func (po profilerObserver) FlowDone(g *core.FlatGraph, pathID uint64, outcome FlowOutcome, elapsed time.Duration) {
-	if outcome == FlowDropped {
-		if dp, ok := po.p.(DropProfiler); ok {
-			dp.FlowDropped(g, pathID, elapsed)
-			return
-		}
-	}
-	po.p.FlowDone(g, pathID, elapsed)
-}
-
-func (po profilerObserver) NodeDone(g *core.FlatGraph, v *core.FlatNode, elapsed time.Duration) {
-	po.p.NodeDone(g, v, elapsed)
-}
-
-func (po profilerObserver) QueueDepth(EngineKind, string, int) {}
-
-// ObserveProfiler adapts a Profiler to the Observer plane. A nil
-// profiler yields a nil observer.
-func ObserveProfiler(p Profiler) Observer {
-	if p == nil {
-		return nil
-	}
-	return profilerObserver{p: p}
 }
 
 // multiObserver fans each event out to every member.

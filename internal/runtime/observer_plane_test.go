@@ -39,14 +39,14 @@ func TestWithAddedObserver(t *testing.T) {
 
 // TestMultiObserverConnShedNested: ConnShed must reach shed-aware
 // members through arbitrarily nested compositions — the shape servers
-// build when layering telemetry over a profiler over a gate observer —
-// while shed-blind members are skipped, not crashed into.
+// build when layering a controller over a gate over telemetry — while
+// shed-blind members are skipped, not crashed into.
 func TestMultiObserverConnShedNested(t *testing.T) {
 	inner := &shedCounter{}
 	outer := &shedCounter{}
 	blind := &recordingObserver{}
 
-	// telemetry ∘ (profiler ∘ gate) style nesting.
+	// controller ∘ (gate ∘ telemetry) style nesting.
 	nested := MultiObserver(MultiObserver(blind, inner), outer)
 	ConnShed(nested, "webserver", "overload")
 	ConnShed(nested, "webserver", "conn-limit")

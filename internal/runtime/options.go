@@ -44,13 +44,6 @@ func WithSourceTimeout(d time.Duration) Option {
 	return func(c *Config) { c.SourceTimeout = d }
 }
 
-// WithProfiler attaches a path/node profiler (§5.2). It joins the
-// observer plane through the ObserveProfiler adapter; WithObserver and
-// WithProfiler compose.
-func WithProfiler(p Profiler) Option {
-	return func(c *Config) { c.Profiler = p }
-}
-
 // WithObserver attaches an observer to the server's unified
 // observability plane: flow terminals (including errors and drops),
 // node completions, and queue-depth samples.

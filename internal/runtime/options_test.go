@@ -55,7 +55,6 @@ func TestConfigDefaults(t *testing.T) {
 // through New, observable on the constructed server.
 func TestOptionsPopulateConfig(t *testing.T) {
 	p := compileSrc(t, pipelineSrc)
-	prof := &profileRecorder{}
 	obs := &recordingObserver{}
 	b := NewBindings().
 		BindSource("Gen", counterSource(1)).
@@ -67,7 +66,6 @@ func TestOptionsPopulateConfig(t *testing.T) {
 		WithDispatchers(2),
 		WithAsyncWorkers(3),
 		WithSourceTimeout(5*time.Millisecond),
-		WithProfiler(prof),
 		WithObserver(obs),
 		WithKeepAlive(),
 		WithQueueSampleInterval(time.Second),
@@ -81,12 +79,8 @@ func TestOptionsPopulateConfig(t *testing.T) {
 		!c.KeepAlive || c.QueueSample != time.Second {
 		t.Errorf("options not applied: %+v", c)
 	}
-	if c.Profiler == nil || c.Observer == nil {
-		t.Error("profiler/observer options not applied")
-	}
-	// Both observation paths resolve into one plane.
-	if s.obs == nil {
-		t.Error("observer plane not resolved")
+	if c.Observer == nil || s.obs != Observer(obs) {
+		t.Error("observer option not applied")
 	}
 }
 
@@ -198,9 +192,6 @@ func TestMarkBlockingValidNamesAccepted(t *testing.T) {
 func TestMultiObserver(t *testing.T) {
 	if MultiObserver(nil, nil) != nil {
 		t.Error("MultiObserver(nil, nil) != nil")
-	}
-	if ObserveProfiler(nil) != nil {
-		t.Error("ObserveProfiler(nil) != nil")
 	}
 	a, b := &recordingObserver{}, &recordingObserver{}
 	m := MultiObserver(a, nil, b)

@@ -43,22 +43,6 @@ func (k EngineKind) String() string {
 	return fmt.Sprintf("engine(%d)", int(k))
 }
 
-// Profiler observes flow and node completions. The profile package
-// provides the standard implementation; the zero cost of a nil Profiler
-// keeps uninstrumented servers fast.
-//
-// Profiler predates the Observer plane and remains as the §5.2-shaped
-// subset of it: a configured Profiler joins the plane through the
-// ObserveProfiler adapter and also sees dropped flows.
-type Profiler interface {
-	// FlowDone records a completed flow: its graph, Ball-Larus path ID,
-	// and elapsed wall time. Flows that end at the error terminal are
-	// recorded too — error paths are paths (§5.2).
-	FlowDone(g *core.FlatGraph, pathID uint64, elapsed time.Duration)
-	// NodeDone records one node execution and its duration.
-	NodeDone(g *core.FlatGraph, v *core.FlatNode, elapsed time.Duration)
-}
-
 // Config tunes a Server. The zero value is usable: thread-per-flow with
 // no observer. The functional options (WithEngine, WithPoolSize, ...)
 // are the public way to populate one.
@@ -82,10 +66,6 @@ type Config struct {
 	// event engine (default 20ms). Larger values reproduce the
 	// low-concurrency latency "hiccup" of Figure 3 more visibly.
 	SourceTimeout time.Duration
-
-	// Profiler, when non-nil, receives flow and node completions. It is
-	// folded into the observer plane at construction.
-	Profiler Profiler
 
 	// Observer, when non-nil, receives flow terminals (including drops
 	// and errors), node completions, and queue-depth samples.
@@ -201,9 +181,8 @@ type Server struct {
 	locks *LockManager
 	stats Stats
 
-	// obs is the observer plane, resolved once at construction (nil
-	// when neither Observer nor Profiler is configured) so the hot path
-	// pays a single nil check.
+	// obs is the configured Observer, copied once at construction (nil
+	// when none is configured) so the hot path pays a single nil check.
 	obs Observer
 
 	// srcs lists the per-source execution state in declaration order.
@@ -262,7 +241,7 @@ func NewServer(prog *core.Program, b *Bindings, cfg Config) (*Server, error) {
 		b:         b,
 		cfg:       cfg.withDefaults(),
 		locks:     NewLockManager(),
-		obs:       MultiObserver(cfg.Observer, ObserveProfiler(cfg.Profiler)),
+		obs:       cfg.Observer,
 		srcByName: make(map[string]*sourceState),
 		tables:    make(map[*core.FlatGraph]*graphTable),
 	}

@@ -525,43 +525,18 @@ Flow = Sink;
 	}
 }
 
-// profileRecorder collects FlowDone/NodeDone callbacks for tests.
-type profileRecorder struct {
-	mu    sync.Mutex
-	flows map[uint64]int
-	nodes map[string]int
-}
-
-func (r *profileRecorder) FlowDone(g *core.FlatGraph, pathID uint64, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.flows == nil {
-		r.flows = make(map[uint64]int)
-	}
-	r.flows[pathID]++
-}
-
-func (r *profileRecorder) NodeDone(g *core.FlatGraph, v *core.FlatNode, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes == nil {
-		r.nodes = make(map[string]int)
-	}
-	r.nodes[v.Node.Name]++
-}
-
 // TestPathProfiling verifies Ball-Larus IDs reported by the runtime
 // decode to the expected node sequences.
 func TestPathProfiling(t *testing.T) {
 	p := compileSrc(t, dispatchSrc)
-	rec := &profileRecorder{}
+	rec := &recordingObserver{}
 	b := NewBindings().
 		BindSource("Gen", counterSource(10)).
 		BindPredicate("IsEven", func(v any) bool { return v.(int)%2 == 0 }).
 		BindNode("Evens", nopNode).
 		BindNode("Odds", nopNode).
 		BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-	s, err := NewServer(p, b, Config{Kind: ThreadPool, PoolSize: 1, Profiler: rec})
+	s, err := NewServer(p, b, Config{Kind: ThreadPool, PoolSize: 1, Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,10 +546,11 @@ func TestPathProfiling(t *testing.T) {
 	g := p.Graphs["Gen"]
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.flows) != 2 {
-		t.Fatalf("distinct paths = %d (%v), want 2", len(rec.flows), rec.flows)
+	flows := rec.paths[FlowCompleted]
+	if len(flows) != 2 || len(rec.paths) != 1 {
+		t.Fatalf("paths by outcome = %v, want 2 completed paths", rec.paths)
 	}
-	for id, count := range rec.flows {
+	for id, count := range flows {
 		label := g.PathLabel(id)
 		if count != 5 {
 			t.Errorf("path %q count = %d, want 5", label, count)

@@ -29,7 +29,6 @@ import (
 	"github.com/flux-lang/flux/internal/lfu"
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/netkit"
-	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/baseline/lifecycle"
 	"github.com/flux-lang/flux/internal/servers/httpkit"
 	"github.com/flux-lang/flux/internal/servers/webserver/fscript"
@@ -49,9 +48,6 @@ type Config struct {
 	// it are shed with a 503 — the thread-per-connection server's
 	// admission control. 0 admits unboundedly.
 	MaxConns int
-	// Observer, when non-nil, receives the plane's shed events
-	// (runtime.ShedObserver).
-	Observer runtime.Observer
 	// WriteTimeout, when > 0, bounds every response write; a dead or
 	// zero-window client fails the write and the shed is counted.
 	WriteTimeout time.Duration
@@ -98,7 +94,6 @@ func New(cfg Config) (*Server, error) {
 		ShedResponse: httpkit.Unavailable(),
 		WriteTimeout: cfg.WriteTimeout,
 		ListenShards: cfg.ListenShards,
-		Observer:     cfg.Observer,
 		Name:         "knotweb",
 	})
 	if err != nil {

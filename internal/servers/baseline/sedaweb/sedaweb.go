@@ -26,7 +26,6 @@ import (
 	"github.com/flux-lang/flux/internal/lfu"
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/netkit"
-	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/baseline/lifecycle"
 	"github.com/flux-lang/flux/internal/servers/httpkit"
 	"github.com/flux-lang/flux/internal/servers/webserver/fscript"
@@ -46,9 +45,6 @@ type Config struct {
 	// ScriptWork is the loop bound handed to dynamic pages (default
 	// 2000), matching the Flux web server's knob.
 	ScriptWork int
-	// Observer, when non-nil, receives the plane's shed events
-	// (runtime.ShedObserver).
-	Observer runtime.Observer
 	// WriteTimeout, when > 0, bounds every response write; a dead or
 	// zero-window client fails the write and the shed is counted.
 	WriteTimeout time.Duration
@@ -127,7 +123,6 @@ func New(cfg Config) (*Server, error) {
 		ShedResponse: httpkit.Unavailable(),
 		WriteTimeout: cfg.WriteTimeout,
 		ListenShards: cfg.ListenShards,
-		Observer:     cfg.Observer,
 		Name:         "sedaweb",
 	})
 	if err != nil {

@@ -40,7 +40,6 @@ import (
 
 	"github.com/flux-lang/flux/internal/core"
 	"github.com/flux-lang/flux/internal/lang/parser"
-	"github.com/flux-lang/flux/internal/metrics"
 	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/telemetry"
@@ -176,17 +175,14 @@ type Config struct {
 	// PollInterval is the select timeout of the message loop (default
 	// 500µs) — the paper's most frequent path is the empty poll.
 	PollInterval time.Duration
-	// Engine, PoolSize, SourceTimeout, Profiler configure the runtime.
+	// Engine, PoolSize, SourceTimeout configure the runtime.
 	Engine        runtime.EngineKind
 	PoolSize      int
 	SourceTimeout time.Duration
-	Profiler      runtime.Profiler
-	// Observer, when non-nil, joins the runtime's observer plane: flow
-	// terminals, queue depths, per-message-type counters (msg/*), and
-	// the connection plane's shed events.
-	Observer runtime.Observer
-	// Telemetry, when non-nil, rides the observer plane alongside
-	// Observer and receives the connection plane's admission counters.
+	// Telemetry, when non-nil, is the server's observer: flow terminals
+	// by path (the §5.2 profile), node latencies, queue depths,
+	// per-message-type counters (msg/*), and the connection plane's
+	// sheds and admission counters.
 	Telemetry *telemetry.Telemetry
 	// MaxUnchoked, when > 0, enables real choking: each choke tick the
 	// tit-for-tat policy unchokes the MaxUnchoked-1 fastest-uploading
@@ -267,7 +263,11 @@ type Server struct {
 	avail       []int
 
 	// pieceLat records request-to-verified latency per piece.
-	pieceLat *metrics.LatencyRecorder
+	pieceLat telemetry.Histogram
+
+	// obs is the composed observer the runtime and plane report to;
+	// the choke flow publishes the msg/* streams through it.
+	obs runtime.Observer
 
 	// msgCounts counts received messages per wire kind (msgKinds order).
 	msgCounts [11]atomic.Uint64
@@ -346,7 +346,6 @@ func New(cfg Config) (*Server, error) {
 		requestedBy: make(map[int]*Peer),
 		requestedAt: make(map[int]time.Time),
 		avail:       make([]int, cfg.Meta.NumPieces()),
-		pieceLat:    metrics.NewLatencyRecorder(),
 		started:     make(chan struct{}),
 	}
 	if _, err := rand.Read(s.peerID[:]); err != nil {
@@ -356,10 +355,7 @@ func New(cfg Config) (*Server, error) {
 	s.chokeRng = mrand.New(mrand.NewSource(int64(binary.BigEndian.Uint64(s.peerID[8:16]))))
 	s.trackerTick = runtime.IntervalSource(cfg.TrackerInterval)
 
-	if cfg.Telemetry != nil {
-		cfg.Observer = runtime.MultiObserver(cfg.Observer, cfg.Telemetry)
-	}
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Observer)
+	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Telemetry.Observer())
 	if cfg.TargetP95 > 0 {
 		// The controller joins the observer chain now (FlowDone is its
 		// input signal) and meets the plane after the runtime exists.
@@ -368,7 +364,7 @@ func New(cfg Config) (*Server, error) {
 			Interval: 50 * time.Millisecond,
 			Step:     4,
 			Kind:     cfg.Engine,
-			Sink:     cfg.Observer,
+			Sink:     cfg.Telemetry.Observer(),
 		}, gate, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bittorrent: %w", err)
@@ -376,6 +372,7 @@ func New(cfg Config) (*Server, error) {
 		s.ctrl = ctrl
 		obs = runtime.MultiObserver(obs, ctrl)
 	}
+	s.obs = obs
 
 	b := runtime.NewBindings().
 		BindSource("Listen", s.listen).
@@ -437,7 +434,6 @@ func New(cfg Config) (*Server, error) {
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
 		runtime.WithObserver(obs),
 		runtime.WithQueueSampleInterval(cfg.QueueSample),
 	)
@@ -509,9 +505,12 @@ func (s *Server) MsgCounts() map[string]uint64 {
 	return out
 }
 
-// PieceLatency digests the request-to-verified piece latency stream
-// (leech side).
-func (s *Server) PieceLatency() metrics.LatencySummary { return s.pieceLat.Summary() }
+// PieceLatency returns the p50 and p95 of the request-to-verified piece
+// latency (leech side), to the histogram's 12.5% bucket resolution.
+func (s *Server) PieceLatency() (p50, p95 time.Duration) {
+	h := s.pieceLat.Snapshot()
+	return h.Quantile(0.50), h.Quantile(0.95)
+}
 
 // Start launches the Flux runtime, the connection plane's accept loop,
 // and (with a TargetP95) the SLO control loop; the peer then serves

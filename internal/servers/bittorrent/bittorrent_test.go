@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
-	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 	"github.com/flux-lang/flux/internal/torrent"
 )
 
@@ -161,18 +161,18 @@ func TestDownloadedContentVerifies(t *testing.T) {
 
 func TestEmptyPollErrorPathDominatesWhenIdle(t *testing.T) {
 	meta, data := testTorrent(t, 64*1024)
-	prof := profile.New()
+	tel := telemetry.New()
 	s, _, stop := startSeeder(t, Config{
 		Meta: meta, Content: data,
 		Engine: runtime.ThreadPool, PoolSize: 4,
 		PollInterval: 200 * time.Microsecond,
-		Profiler:     prof,
+		Telemetry:    tel,
 	})
 	time.Sleep(300 * time.Millisecond) // idle server: only empty polls
 	stop()
 
 	g := s.Program().Graphs["Poll"]
-	rows := prof.HotPaths(g, profile.ByCount, 1)
+	rows := tel.PathProfile(g, telemetry.ByCount, 1).Paths
 	if len(rows) == 0 {
 		t.Fatal("no poll paths recorded")
 	}

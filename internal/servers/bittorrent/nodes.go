@@ -374,15 +374,15 @@ func (s *Server) updateChokeList(fl *runtime.Flow, in runtime.Record) (runtime.R
 // latency p95 onto the observer plane's QueueDepth surface under the
 // msg/ prefix (registered as counters, so admission control skips them).
 func (s *Server) publishMsgStreams() {
-	obs := s.cfg.Observer
+	obs := s.obs
 	if obs == nil {
 		return
 	}
 	for i, k := range msgKinds {
 		obs.QueueDepth(s.cfg.Engine, runtime.MsgStreamPrefix+k, int(s.msgCounts[i].Load()))
 	}
-	obs.QueueDepth(s.cfg.Engine, runtime.MsgStreamPrefix+"piece-p95us",
-		int(s.pieceLat.Summary().P95/time.Microsecond))
+	_, p95 := s.PieceLatency()
+	obs.QueueDepth(s.cfg.Engine, runtime.MsgStreamPrefix+"piece-p95us", int(p95/time.Microsecond))
 }
 
 // optimisticRotation is how many choke ticks an optimistic unchoke

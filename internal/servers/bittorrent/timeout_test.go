@@ -5,20 +5,24 @@ import (
 	"testing"
 	"time"
 
-	"github.com/flux-lang/flux/internal/metrics"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
 
-func waitShed(t *testing.T, fo *metrics.FlowObserver, key string, d time.Duration) {
+// waitShed polls until the telemetry plane has counted a bittorrent
+// shed under reason.
+func waitShed(t *testing.T, tel *telemetry.Telemetry, reason string, d time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
-		if fo.ShedCount(key) > 0 {
-			return
+		for _, sh := range tel.Snapshot().Sheds {
+			if sh.Server == "bittorrent" && sh.Reason == reason && sh.Count > 0 {
+				return
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("no %q shed counted within %v (sheds=%d)", key, d, fo.Sheds())
+	t.Fatalf("no %q shed counted within %v (sheds=%d)", reason, d, tel.ShedTotal())
 }
 
 // TestHandshakeTimeoutShed connects a peer that writes half a handshake
@@ -26,12 +30,12 @@ func waitShed(t *testing.T, fo *metrics.FlowObserver, key string, d time.Duratio
 // dropped, and the shed must be counted on the plane's observer.
 func TestHandshakeTimeoutShed(t *testing.T) {
 	meta, data := testTorrent(t, 128*1024)
-	fo := metrics.NewFlowObserver()
+	tel := telemetry.New()
 	_, addr, stop := startSeeder(t, Config{
 		Meta: meta, Content: data,
 		Engine: runtime.ThreadPool, PoolSize: 4,
 		HandshakeTimeout: 200 * time.Millisecond,
-		Observer:         fo,
+		Telemetry:        tel,
 	})
 	defer stop()
 
@@ -45,7 +49,7 @@ func TestHandshakeTimeoutShed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitShed(t, fo, "bittorrent/handshake-timeout", 5*time.Second)
+	waitShed(t, tel, "handshake-timeout", 5*time.Second)
 }
 
 // TestIdlePeerShed registers a peer that completes the handshake and
@@ -53,12 +57,12 @@ func TestHandshakeTimeoutShed(t *testing.T) {
 // it and count the shed.
 func TestIdlePeerShed(t *testing.T) {
 	meta, data := testTorrent(t, 128*1024)
-	fo := metrics.NewFlowObserver()
+	tel := telemetry.New()
 	s, addr, stop := startSeeder(t, Config{
 		Meta: meta, Content: data,
 		Engine: runtime.ThreadPool, PoolSize: 4,
 		IdleTimeout: 300 * time.Millisecond,
-		Observer:    fo,
+		Telemetry:   tel,
 	})
 	defer stop()
 
@@ -80,7 +84,7 @@ func TestIdlePeerShed(t *testing.T) {
 		t.Fatalf("bitfield: %v", err)
 	}
 
-	waitShed(t, fo, "bittorrent/idle", 5*time.Second)
+	waitShed(t, tel, "idle", 5*time.Second)
 	if got := s.MsgCounts()["bitfield"]; got != 0 {
 		t.Errorf("server counted %d bitfield messages from a silent peer", got)
 	}

@@ -75,17 +75,14 @@ type Config struct {
 	Heartbeat time.Duration
 	// Seed drives teleport placement.
 	Seed int64
-	// Engine, PoolSize, SourceTimeout, Profiler configure the runtime.
+	// Engine, PoolSize, SourceTimeout configure the runtime.
 	Engine        runtime.EngineKind
 	PoolSize      int
 	SourceTimeout time.Duration
-	Profiler      runtime.Profiler
-	// Observer, when non-nil, joins the runtime's observer plane: flow
-	// terminals (moves and turns) and queue depths.
-	Observer runtime.Observer
-	// Telemetry, when non-nil, rides the observer plane alongside
-	// Observer (composed, never replacing it). The game server has no
-	// TCP connection plane, so no admission counters register.
+	// Telemetry, when non-nil, is the server's observer: flow terminals
+	// (moves and turns) by path, node latencies, and queue depths. The
+	// game server has no TCP connection plane, so no admission counters
+	// register.
 	Telemetry *telemetry.Telemetry
 }
 
@@ -195,15 +192,11 @@ func New(cfg Config) (*Server, error) {
 		BindNode("Broadcast", s.broadcast).
 		MarkBlocking("Broadcast")
 
-	if cfg.Telemetry != nil {
-		cfg.Observer = runtime.MultiObserver(cfg.Observer, cfg.Telemetry)
-	}
 	rt, err := runtime.New(prog, b,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
-		runtime.WithObserver(cfg.Observer),
+		runtime.WithObserver(cfg.Telemetry.Observer()),
 	)
 	if err != nil {
 		conn.Close()

@@ -100,16 +100,13 @@ type Config struct {
 	// cost (the paper's compression averaged 0.5 s; benchmarks here use
 	// milliseconds). Zero means JPEG encoding cost only.
 	CompressWork time.Duration
-	// Engine, PoolSize, SourceTimeout, Profiler configure the runtime.
+	// Engine, PoolSize, SourceTimeout configure the runtime.
 	Engine        runtime.EngineKind
 	PoolSize      int
 	SourceTimeout time.Duration
-	Profiler      runtime.Profiler
-	// Observer, when non-nil, joins the runtime's observer plane (flow
-	// terminals, queue depths, connection-plane shed events).
-	Observer runtime.Observer
-	// Telemetry, when non-nil, rides the observer plane alongside
-	// Observer and receives the connection plane's admission counters.
+	// Telemetry, when non-nil, is the server's observer: flow terminals
+	// by path (the §5.2 profile), node latencies, queue depths, and the
+	// connection plane's sheds and admission counters.
 	Telemetry *telemetry.Telemetry
 	// AdmitWatermark, when > 0, sheds fresh connections with a 503 once
 	// the engine's sampled queue depths sum past it. 0 admits
@@ -197,15 +194,11 @@ func New(cfg Config) (*Server, error) {
 		BindPredicate("TestInCache", func(v any) bool { return v.(*Tag).hit }).
 		MarkBlocking("ReadRequest", "Write")
 
-	if cfg.Telemetry != nil {
-		cfg.Observer = runtime.MultiObserver(cfg.Observer, cfg.Telemetry)
-	}
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Observer)
+	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Telemetry.Observer())
 	rt, err := runtime.New(prog, b,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
 		runtime.WithObserver(obs),
 		runtime.WithQueueSampleInterval(cfg.QueueSample),
 		// Admission is external: the connection plane injects every flow.

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
-	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
 
 func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
@@ -159,15 +159,16 @@ func TestAllEnginesServe(t *testing.T) {
 }
 
 func TestHitAndMissPathsProfiled(t *testing.T) {
-	prof := profile.New()
-	s, addr, stop := startServer(t, Config{Engine: runtime.ThreadPerFlow, Profiler: prof})
+	tel := telemetry.New()
+	s, addr, stop := startServer(t, Config{Engine: runtime.ThreadPerFlow, Telemetry: tel})
 	fetch(t, addr, 3, 2) // miss
 	fetch(t, addr, 3, 2) // hit
 	stop()
 
 	g := s.Program().Graphs["Listen"]
 	var sawHit, sawMiss bool
-	for _, r := range prof.HotPaths(g, profile.ByCount, 0) {
+	rep := tel.PathProfile(g, telemetry.ByCount, 0)
+	for _, r := range rep.Paths {
 		if r.Label == "Listen -> ReadRequest -> CheckCache -> Write -> Complete" {
 			sawHit = true
 		}
@@ -176,7 +177,7 @@ func TestHitAndMissPathsProfiled(t *testing.T) {
 		}
 	}
 	if !sawHit || !sawMiss {
-		t.Errorf("hit=%v miss=%v:\n%s", sawHit, sawMiss, prof.Report(g, profile.ByCount, 10))
+		t.Errorf("hit=%v miss=%v:\n%s", sawHit, sawMiss, rep.Render())
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
-	"github.com/flux-lang/flux/internal/metrics"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
 
 // TestOverloadShedsAndAnnouncesClose drives the admission gate directly
@@ -29,13 +29,13 @@ import (
 // the plane and routed through the Observer plane — nothing silent.
 func TestOverloadShedsAndAnnouncesClose(t *testing.T) {
 	files := loadgen.NewFileSet(1)
-	obs := metrics.NewFlowObserver()
+	tel := telemetry.New()
 	srv, addr, stop := startServer(t, Config{
 		Files:          files,
 		Engine:         runtime.EventDriven,
 		SourceTimeout:  2 * time.Millisecond,
 		AdmitWatermark: 50,
-		Observer:       obs,
+		Telemetry:      tel,
 	})
 	defer stop()
 	path := files.Path(0, 0, 1)
@@ -95,7 +95,7 @@ func TestOverloadShedsAndAnnouncesClose(t *testing.T) {
 	if got := srv.PlaneStats().Shed; got < 1 {
 		t.Errorf("plane shed count = %d, want >= 1", got)
 	}
-	if got := obs.ShedCount("webserver/overload"); got < 1 {
+	if got := shedCount(tel, "overload"); got < 1 {
 		t.Errorf("observer sheds = %d, want >= 1 (shed dropped silently?)", got)
 	}
 

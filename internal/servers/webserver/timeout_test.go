@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
-	"github.com/flux-lang/flux/internal/metrics"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
 
 // waitClosed reads until the server closes the connection, failing the
@@ -28,17 +28,46 @@ func waitClosed(t *testing.T, conn net.Conn, within time.Duration) {
 	}
 }
 
-// waitShed polls until the observer has recorded a shed under key.
-func waitShed(t *testing.T, obs *metrics.FlowObserver, key string) {
+// shedCount reads the sheds the telemetry plane counted for the web
+// server under reason.
+func shedCount(tel *telemetry.Telemetry, reason string) uint64 {
+	for _, sh := range tel.Snapshot().Sheds {
+		if sh.Server == "webserver" && sh.Reason == reason {
+			return sh.Count
+		}
+	}
+	return 0
+}
+
+// waitShed polls until the telemetry plane has counted a shed under
+// reason.
+func waitShed(t *testing.T, tel *telemetry.Telemetry, reason string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if obs.ShedCount(key) > 0 {
+		if shedCount(tel, reason) > 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("no shed recorded under %q", key)
+	t.Fatalf("no webserver shed counted under %q", reason)
+}
+
+// streamMax is the largest sample in the window of one queue-depth
+// stream.
+func streamMax(tel *telemetry.Telemetry, kind runtime.EngineKind, queue string) int64 {
+	var max int64
+	for _, ss := range tel.Snapshot().Streams {
+		if ss.Engine != kind.String() || ss.Queue != queue {
+			continue
+		}
+		for _, smp := range ss.Samples {
+			if smp.V > max {
+				max = smp.V
+			}
+		}
+	}
+	return max
 }
 
 // TestSlowLorisHeaderTimeout holds a half-written request line open.
@@ -47,12 +76,12 @@ func waitShed(t *testing.T, obs *metrics.FlowObserver, key string) {
 // still serve well-behaved clients.
 func TestSlowLorisHeaderTimeout(t *testing.T) {
 	files := loadgen.NewFileSet(1)
-	obs := metrics.NewFlowObserver()
+	tel := telemetry.New()
 	_, addr, stop := startServer(t, Config{
 		Files:         files,
 		Engine:        runtime.ThreadPerFlow,
 		HeaderTimeout: 150 * time.Millisecond,
-		Observer:      obs,
+		Telemetry:     tel,
 	})
 	defer stop()
 
@@ -66,7 +95,7 @@ func TestSlowLorisHeaderTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitClosed(t, conn, 5*time.Second)
-	waitShed(t, obs, "webserver/timeout")
+	waitShed(t, tel, "timeout")
 
 	// The worker the loris would have pinned is free to serve.
 	if status, _ := get(t, addr, files.Path(0, 0, 1)); status != 200 {
@@ -79,12 +108,12 @@ func TestSlowLorisHeaderTimeout(t *testing.T) {
 // it — distinct from the client hanging up (an un-counted Discard).
 func TestKeepAliveIdleTimeout(t *testing.T) {
 	files := loadgen.NewFileSet(1)
-	obs := metrics.NewFlowObserver()
+	tel := telemetry.New()
 	_, addr, stop := startServer(t, Config{
 		Files:       files,
 		Engine:      runtime.ThreadPerFlow,
 		IdleTimeout: 150 * time.Millisecond,
-		Observer:    obs,
+		Telemetry:   tel,
 	})
 	defer stop()
 
@@ -102,7 +131,7 @@ func TestKeepAliveIdleTimeout(t *testing.T) {
 
 	// Silence. The server, not the test, ends the conversation.
 	waitClosed(t, conn, 5*time.Second)
-	waitShed(t, obs, "webserver/timeout")
+	waitShed(t, tel, "timeout")
 }
 
 // TestAdaptiveControllerWiring boots the server with a TargetP95 and
@@ -112,12 +141,12 @@ func TestKeepAliveIdleTimeout(t *testing.T) {
 // served normally underneath.
 func TestAdaptiveControllerWiring(t *testing.T) {
 	files := loadgen.NewFileSet(1)
-	obs := metrics.NewFlowObserver()
+	tel := telemetry.New()
 	srv, addr, stop := startServer(t, Config{
 		Files:     files,
 		Engine:    runtime.EventDriven,
 		TargetP95: 30 * time.Millisecond,
-		Observer:  obs,
+		Telemetry: tel,
 	})
 	defer stop()
 
@@ -139,14 +168,14 @@ func TestAdaptiveControllerWiring(t *testing.T) {
 	}
 
 	// Within a couple of control intervals the trajectory streams land
-	// on the observer's queue-depth surface.
+	// on the telemetry plane's queue-depth surface.
 	deadline := time.Now().Add(5 * time.Second)
-	key := runtime.EventDriven.String() + "/" + runtime.CtrlWatermark
 	for time.Now().Before(deadline) {
-		if obs.MaxQueueDepth(key) >= 64 {
+		if streamMax(tel, runtime.EventDriven, runtime.CtrlWatermark) >= 64 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("no %s trajectory reached the observer (max=%d)", key, obs.MaxQueueDepth(key))
+	t.Fatalf("no %s trajectory reached the telemetry plane (max=%d)",
+		runtime.CtrlWatermark, streamMax(tel, runtime.EventDriven, runtime.CtrlWatermark))
 }

@@ -121,14 +121,10 @@ type Config struct {
 	PoolSize int
 	// SourceTimeout is the event engine's source polling deadline.
 	SourceTimeout time.Duration
-	// Profiler, when non-nil, receives path/node observations.
-	Profiler runtime.Profiler
-	// Observer, when non-nil, joins the runtime's observer plane: flow
-	// terminals, queue depths, and the connection plane's shed events.
-	Observer runtime.Observer
-	// Telemetry, when non-nil, rides the observer plane alongside
-	// Observer (composed, never replacing it) and receives the
-	// connection plane's admission counters under the server's name.
+	// Telemetry, when non-nil, is the server's observer: flow terminals
+	// by path (the §5.2 profile), node latencies, queue depths, the
+	// connection plane's sheds and admission counters, and the dynamic
+	// pages' dispatch counters, all under the server's name.
 	Telemetry *telemetry.Telemetry
 	// MaxKeepAlive bounds requests per connection (default 100).
 	MaxKeepAlive int
@@ -254,10 +250,7 @@ func New(cfg Config) (*Server, error) {
 		cache: lfu.New(cfg.CacheBytes),
 		pages: pages,
 	}
-	if cfg.Telemetry != nil {
-		cfg.Observer = runtime.MultiObserver(cfg.Observer, cfg.Telemetry)
-	}
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Observer)
+	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Telemetry.Observer())
 	if cfg.TargetP95 > 0 {
 		// The controller joins the observer chain now (FlowDone is its
 		// input signal) and meets the plane after the runtime exists.
@@ -271,7 +264,7 @@ func New(cfg Config) (*Server, error) {
 			Interval: 50 * time.Millisecond,
 			Step:     4,
 			Kind:     cfg.Engine,
-			Sink:     cfg.Observer,
+			Sink:     cfg.Telemetry.Observer(),
 		}, gate, nil)
 		if err != nil {
 			return nil, fmt.Errorf("webserver: %w", err)
@@ -305,7 +298,6 @@ func New(cfg Config) (*Server, error) {
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
 		runtime.WithObserver(obs),
 		runtime.WithQueueSampleInterval(cfg.QueueSample),
 		// Admission is external (the connection plane injects every

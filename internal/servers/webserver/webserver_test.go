@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
-	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
 
 // startServer boots a web server on an ephemeral port and returns its
@@ -227,8 +227,8 @@ func TestLoadGeneratorAgainstServer(t *testing.T) {
 
 func TestPathProfileOfWebServer(t *testing.T) {
 	files := loadgen.NewFileSet(1)
-	prof := profile.New()
-	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPerFlow, Profiler: prof})
+	tel := telemetry.New()
+	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPerFlow, Telemetry: tel})
 	defer stop()
 
 	path := files.Path(0, 0, 2)
@@ -238,7 +238,8 @@ func TestPathProfileOfWebServer(t *testing.T) {
 	stop()
 
 	g := s.Program().Graphs["Listen"]
-	rows := prof.HotPaths(g, profile.ByCount, 0)
+	rep := tel.PathProfile(g, telemetry.ByCount, 0)
+	rows := rep.Paths
 	if len(rows) == 0 {
 		t.Fatal("no paths recorded")
 	}
@@ -256,7 +257,7 @@ func TestPathProfileOfWebServer(t *testing.T) {
 	}
 	if !sawMiss || !sawHit || !sawDyn {
 		t.Errorf("paths missing (miss=%v hit=%v dyn=%v):\n%s",
-			sawMiss, sawHit, sawDyn, prof.Report(g, profile.ByCount, 10))
+			sawMiss, sawHit, sawDyn, rep.Render())
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
-	"github.com/flux-lang/flux/internal/metrics"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
 
 // rawGet fetches one URL and returns the entire raw byte stream the
@@ -86,12 +86,12 @@ func TestSendfileServesLargeBody(t *testing.T) {
 // must be counted under webserver/write-timeout on the Observer plane.
 func TestWriteTimeoutShedsStalledClient(t *testing.T) {
 	files := loadgen.NewFileSet(1)
-	obs := metrics.NewFlowObserver()
+	tel := telemetry.New()
 	_, addr, stop := startServer(t, Config{
 		Files:        files,
 		Engine:       runtime.ThreadPerFlow,
 		WriteTimeout: 200 * time.Millisecond,
-		Observer:     obs,
+		Telemetry:    tel,
 	})
 	defer stop()
 
@@ -106,7 +106,7 @@ func TestWriteTimeoutShedsStalledClient(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n\r\n", path)
 	}
-	waitShed(t, obs, "webserver/write-timeout")
+	waitShed(t, tel, "write-timeout")
 
 	// The worker the stalled client held is free again.
 	if status, _ := get(t, addr, files.Path(0, 0, 1)); status != 200 {

@@ -4,19 +4,21 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/core"
-	"github.com/flux-lang/flux/internal/profile"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
 
-// FromProfile derives simulation parameters from a profiling run, the
-// workflow of §5.1: "the simulator can use observed parameters from a
-// running system (per-node execution times, source node inter-arrival
-// times, and observed branching probabilities)".
+// FromTelemetry derives simulation parameters from a telemetry plane
+// that observed a run of prog, the workflow of §5.1: "the simulator can
+// use observed parameters from a running system (per-node execution
+// times, source node inter-arrival times, and observed branching
+// probabilities)". Only prog's own graphs are read, so the plane may be
+// shared with other servers.
 //
 // The returned Params carry the observed node means and branch
 // probabilities for every graph in the program; the caller supplies the
 // arrival processes (typically the load level being predicted) and the
 // CPU count.
-func FromProfile(prog *core.Program, p *profile.Profiler) Params {
+func FromTelemetry(prog *core.Program, t *telemetry.Telemetry) Params {
 	params := Params{
 		NodeTime:   make(map[string]float64),
 		BranchProb: make(map[string][]float64),
@@ -24,10 +26,10 @@ func FromProfile(prog *core.Program, p *profile.Profiler) Params {
 		Sources:    make(map[string]SourceParams),
 	}
 	for _, g := range prog.Graphs {
-		for _, ns := range p.Nodes(g) {
+		for _, ns := range t.PathProfile(g, telemetry.ByCount, 0).Nodes {
 			params.NodeTime[ns.Name] = ns.Mean().Seconds()
 		}
-		freq := p.EdgeFrequencies(g)
+		freq := t.EdgeFrequencies(g)
 		for _, v := range g.Nodes {
 			switch v.Kind {
 			case core.FlatBranch:

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"github.com/flux-lang/flux/internal/profile"
 )
 
 // Ops is the running ops endpoint: one HTTP listener carrying the
@@ -19,32 +17,22 @@ import (
 //	/metrics                Prometheus text exposition
 //	/debug/pprof/*          net/http/pprof (profile, heap, goroutine, ...)
 //	/debug/flux/summary     the full Snapshot (fluxtop's feed)
-//	/debug/flux/paths       the path profiler's ranked hot paths
+//	/debug/flux/paths       the §5.2 path profile: ranked hot paths
 //	/debug/flux/nodes       per-node latency histograms
 //	/debug/flux/ctrl        SLO-controller trajectory windows
 //	/debug/flux/sheds       shed counters and trajectories
 //	/debug/flux/conns       connection-plane admission counters
 //	/debug/flux/traces      sampled flow traces
 type Ops struct {
-	t    *Telemetry
-	prof *profile.Profiler
-	ln   net.Listener
-	srv  *http.Server
-}
-
-// ServeOption configures the ops endpoint.
-type ServeOption func(*Ops)
-
-// WithProfiler attaches a path profiler; /debug/flux/paths serves its
-// structured snapshot (the same one the text reports render).
-func WithProfiler(p *profile.Profiler) ServeOption {
-	return func(o *Ops) { o.prof = p }
+	t   *Telemetry
+	ln  net.Listener
+	srv *http.Server
 }
 
 // Serve opens the ops listener on addr (":0" picks a port; see Addr)
 // and serves until Close. The handlers only read the telemetry plane's
 // lock-free aggregate, so scraping a loaded server is safe.
-func Serve(addr string, t *Telemetry, opts ...ServeOption) (*Ops, error) {
+func Serve(addr string, t *Telemetry) (*Ops, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
@@ -53,9 +41,6 @@ func Serve(addr string, t *Telemetry, opts ...ServeOption) (*Ops, error) {
 		return nil, err
 	}
 	o := &Ops{t: t, ln: ln}
-	for _, opt := range opts {
-		opt(o)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", o.handleMetrics)
@@ -65,7 +50,7 @@ func Serve(addr string, t *Telemetry, opts ...ServeOption) (*Ops, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/flux/summary", o.handleJSON(func() any { return t.Snapshot() }))
-	mux.HandleFunc("/debug/flux/paths", o.handlePaths)
+	mux.HandleFunc("/debug/flux/paths", o.handleJSON(func() any { return t.PathProfiles(ByCount, 0) }))
 	mux.HandleFunc("/debug/flux/nodes", o.handleJSON(func() any {
 		s := t.snapshot(false, false)
 		return s.Graphs
@@ -103,21 +88,6 @@ func (o *Ops) handleJSON(fn func() any) http.HandlerFunc {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(fn())
 	}
-}
-
-// handlePaths serves the path profiler's structured snapshot — the
-// §5.2 hot-path report as data instead of text. Without a profiler it
-// serves an empty report (telemetry alone does not aggregate by path;
-// the profiler owns that).
-func (o *Ops) handlePaths(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	var rep profile.Report
-	if o.prof != nil {
-		rep = o.prof.Snapshot(profile.ByCount, 0)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rep)
 }
 
 // --- Prometheus text exposition ---------------------------------------------

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
 )
 
@@ -32,7 +31,6 @@ func get(t *testing.T, url string) (int, string) {
 func TestServeEndpoints(t *testing.T) {
 	tel := NewSampled(1)
 	g := flowGraph(t, compileProgram(t))
-	prof := profile.New()
 
 	tel.FlowDone(g, 0, runtime.FlowCompleted, 3*time.Millisecond)
 	tel.FlowDone(g, 0, runtime.FlowErrored, time.Millisecond)
@@ -47,9 +45,8 @@ func TestServeEndpoints(t *testing.T) {
 	tel.RegisterDynPages("webserver", func() DynPageStats {
 		return DynPageStats{Compiled: 40, Interpreted: 2, FragHits: 1, FragMisses: 1}
 	})
-	prof.FlowDone(g, 0, 3*time.Millisecond)
 
-	ops, err := Serve("127.0.0.1:0", tel, WithProfiler(prof))
+	ops, err := Serve("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +101,18 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("summary traces = %d", len(snap.Traces))
 	}
 
-	// Paths comes from the profiler's structured snapshot.
+	// Paths is the plane's own path profile. Path 0 ends at the exit,
+	// so the errored terminal on it counts in Flows but ranks no path.
 	code, body = get(t, base+"/debug/flux/paths")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/flux/paths status %d", code)
 	}
-	var rep profile.Report
+	var rep Report
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatalf("paths decode: %v", err)
 	}
-	if len(rep.Graphs) != 1 || rep.Graphs[0].Flows != 1 {
+	if len(rep.Graphs) != 1 || rep.Graphs[0].Flows != 2 ||
+		len(rep.Graphs[0].Paths) != 1 || rep.Graphs[0].Paths[0].Count != 1 {
 		t.Errorf("paths report = %+v", rep)
 	}
 
@@ -138,23 +137,41 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// TestServeWithoutProfiler: /debug/flux/paths degrades to an empty
-// report instead of failing when no profiler is attached.
+// TestServeWithoutProfiler: /debug/flux/paths needs no option — it
+// serves the plane's path slots, empty before any flow and populated
+// after, in the endpoint's existing JSON shape (field names included).
 func TestServeWithoutProfiler(t *testing.T) {
-	ops, err := Serve("127.0.0.1:0", New())
+	tel := New()
+	ops, err := Serve("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ops.Close()
-	code, body := get(t, "http://"+ops.Addr()+"/debug/flux/paths")
+	url := "http://" + ops.Addr() + "/debug/flux/paths"
+	code, body := get(t, url)
 	if code != http.StatusOK {
 		t.Fatalf("paths status %d", code)
 	}
-	var rep profile.Report
+	var rep Report
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if len(rep.Graphs) != 0 {
 		t.Errorf("expected empty report, got %+v", rep)
+	}
+
+	g := flowGraph(t, compileProgram(t))
+	tel.FlowDone(g, 0, runtime.FlowCompleted, time.Millisecond)
+	tel.FlowDone(g, 0, runtime.FlowDropped, time.Millisecond)
+	tel.NodeDone(g, execNode(t, g, "Double"), time.Microsecond)
+	_, body = get(t, url)
+	for _, field := range []string{
+		`"source": "Gen"`, `"flows": 1`, `"distinctPaths": 1`, `"ID": 0`, `"Count": 1`,
+		`"Total": 1000000`, `"Label": "Gen -\u003e Double -\u003e Sink"`, `"Name": "Double"`,
+		`"droppedFlows": 1`, `"droppedTotalNanos": 1000000`,
+	} {
+		if !strings.Contains(body, field) {
+			t.Errorf("paths JSON missing %s:\n%s", field, body)
+		}
 	}
 }

@@ -3,14 +3,17 @@
 // harness only renders post-run. It turns the plane's event surface
 // into continuously queryable state:
 //
-//   - per-graph flow-latency histograms and outcome counters (FlowDone),
+//   - per-graph flow-latency histograms and per-path slots (FlowDone):
+//     each Ball-Larus path's count and time, which are both the
+//     outcome counters and the §5.2 path profile (paths.go),
 //   - per-node latency histograms (NodeDone),
 //   - windowed time-series rings for every queue-depth stream,
 //     including the SLO controller's ctrl/* trajectory and the protocol
 //     msg/* counters (QueueDepth),
 //   - per-server/reason shed counters with coalesced trajectories
 //     (ConnShed), and
-//   - 1-in-N sampled flow traces keyed by Ball-Larus path ID.
+//   - 1-in-N sampled flow traces keyed by Ball-Larus path ID (N per
+//     path slot, so rare paths are traced as often as hot ones).
 //
 // The record path is allocation-free and lock-free (histogram and
 // counter updates are atomics; only the 1-in-N trace write takes a
@@ -33,20 +36,23 @@ import (
 )
 
 // DefaultTraceSample is the default flow-trace sampling period: one
-// trace per N flow terminals.
+// trace per N terminals counted into a path slot.
 const DefaultTraceSample = 128
 
 // traceCap bounds the sampled-trace ring.
 const traceCap = 256
 
-// graphTel is one graph's aggregation state. Nodes are indexed by
-// FlatNode.ID — the same dense-table trick the runtime's dispatch uses,
-// so NodeDone is an array index, not a map probe.
+// graphTel is one graph's aggregation state. Paths are indexed by
+// Ball-Larus ID and nodes by FlatNode.ID — the same dense-table trick
+// the runtime's dispatch uses, so FlowDone and NodeDone are array
+// indexes, not map probes.
 type graphTel struct {
 	g     *core.FlatGraph
 	name  string
 	flow  Histogram
-	byOut [3]Counter // completed, errored, dropped
+	paths []pathSlot
+	over  [2]pathSlot // completed, errored terminals without a path slot
+	drop  pathSlot
 	nodes []Histogram
 }
 
@@ -91,7 +97,6 @@ type Telemetry struct {
 	shedTotal Counter
 
 	traceEvery uint64
-	traceCtr   atomic.Uint64
 	traceMu    sync.Mutex
 	traceBuf   [traceCap]flowTrace
 	traceNext  int
@@ -136,14 +141,14 @@ type dynSource struct {
 }
 
 // New returns an empty telemetry plane sampling one flow trace per
-// DefaultTraceSample terminals. Attach it to servers as an Observer
+// DefaultTraceSample terminals of each path slot. Attach it to servers as an Observer
 // (flux.WithTelemetry, or each macro server's Config.Telemetry).
 func New() *Telemetry {
 	return NewSampled(DefaultTraceSample)
 }
 
 // NewSampled returns a telemetry plane tracing one flow per every
-// flow terminals; every <= 0 disables trace sampling.
+// terminals of each path slot; every <= 0 disables trace sampling.
 func NewSampled(every int) *Telemetry {
 	t := &Telemetry{start: time.Now()}
 	if every > 0 {
@@ -173,6 +178,7 @@ func (t *Telemetry) graph(g *core.FlatGraph) *graphTel {
 		return gt
 	}
 	gt := &graphTel{g: g, name: g.Source.Name, nodes: make([]Histogram, len(g.Nodes))}
+	gt.initSlots()
 	next := make(map[*core.FlatGraph]*graphTel, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v
@@ -183,18 +189,15 @@ func (t *Telemetry) graph(g *core.FlatGraph) *graphTel {
 }
 
 // FlowDone implements runtime.Observer: the flow's latency lands in the
-// graph's histogram, its outcome in a striped counter (striped by path
-// ID, so concurrent terminals on different paths spread), and every
-// 1-in-N flows a trace sample in the ring. Allocation-free.
+// graph's histogram, its count and time in its path's slot (one cache
+// line per path, so concurrent terminals on different paths spread),
+// and every Nth terminal of a slot a trace sample in the ring — the
+// slot's count is the sampling counter. Allocation-free.
 func (t *Telemetry) FlowDone(g *core.FlatGraph, pathID uint64, outcome runtime.FlowOutcome, elapsed time.Duration) {
 	gt := t.graph(g)
 	gt.flow.Record(elapsed)
-	o := int(outcome)
-	if o < 0 || o > 2 {
-		o = 1
-	}
-	gt.byOut[o].Add(pathID, 1)
-	if t.traceEvery > 0 && t.traceCtr.Add(1)%t.traceEvery == 0 {
+	n := gt.slot(pathID, outcome).add(elapsed)
+	if t.traceEvery > 0 && n%t.traceEvery == 0 {
 		now := time.Now().UnixNano()
 		t.traceMu.Lock()
 		t.traceBuf[t.traceNext] = flowTrace{g: g, pathID: pathID, outcome: outcome, elapsed: elapsed, at: now}
@@ -398,8 +401,8 @@ func (t *Telemetry) snapshot(withSeries, withTraces bool) Snapshot {
 		}
 		gs.Instances++
 		gs.Flows = gs.Flows.Merge(gt.flow.Snapshot())
-		for o := 0; o < 3; o++ {
-			gs.Outcomes[runtime.FlowOutcome(o).String()] += gt.byOut[o].Value()
+		for o, n := range gt.outcomes() {
+			gs.Outcomes[runtime.FlowOutcome(o).String()] += n
 		}
 		nodeByName := make(map[string]int, len(gs.Nodes))
 		for i := range gs.Nodes {
@@ -563,6 +566,16 @@ func (t *Telemetry) CtrlStreams() []StreamSnapshot {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
+}
+
+// Observer returns t as a runtime.Observer, and a nil interface for a
+// nil t, so an optional Telemetry field composes without the typed-nil
+// trap (a nil *Telemetry in an interface is a non-nil observer).
+func (t *Telemetry) Observer() runtime.Observer {
+	if t == nil {
+		return nil
+	}
+	return t
 }
 
 // The compile-time checks that Telemetry covers the whole plane.

@@ -19,11 +19,11 @@ source Gen => Flow;
 Flow = Double -> Sink;
 `
 
-// compileProgram builds a fresh program (and therefore fresh *FlatGraph
-// identities) from pipelineSrc.
-func compileProgram(t *testing.T) *core.Program {
+// compileSrc builds a fresh program (and therefore fresh *FlatGraph
+// identities) from src.
+func compileSrc(t *testing.T, src string) *core.Program {
 	t.Helper()
-	astProg, err := parser.Parse("telemetry_test.flux", pipelineSrc)
+	astProg, err := parser.Parse("telemetry_test.flux", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -33,6 +33,8 @@ func compileProgram(t *testing.T) *core.Program {
 	}
 	return p
 }
+
+func compileProgram(t *testing.T) *core.Program { return compileSrc(t, pipelineSrc) }
 
 func flowGraph(t *testing.T, p *core.Program) *core.FlatGraph {
 	t.Helper()
@@ -195,7 +197,8 @@ func TestTraceSampling(t *testing.T) {
 
 // TestObserverPathZeroAlloc: after first-sight registration, every
 // record-path entry point — FlowDone (including its 1-in-1 trace
-// write), NodeDone, QueueDepth, ConnShed — is allocation-free.
+// write, a drop, and an ID past the path slots), NodeDone, QueueDepth,
+// ConnShed — is allocation-free.
 func TestObserverPathZeroAlloc(t *testing.T) {
 	tel := NewSampled(1)
 	g := flowGraph(t, compileProgram(t))
@@ -209,6 +212,16 @@ func TestObserverPathZeroAlloc(t *testing.T) {
 		tel.FlowDone(g, 0, runtime.FlowCompleted, time.Millisecond)
 	}); n != 0 {
 		t.Errorf("FlowDone allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tel.FlowDone(g, 0, runtime.FlowDropped, time.Millisecond)
+	}); n != 0 {
+		t.Errorf("FlowDone (drop) allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tel.FlowDone(g, maxPathSlots, runtime.FlowErrored, time.Millisecond)
+	}); n != 0 {
+		t.Errorf("FlowDone (past the path slots) allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		tel.NodeDone(g, g.Nodes[0], time.Microsecond)
