@@ -120,10 +120,9 @@ func expFigure3(cfg benchConfig) error {
 }
 
 // writePathComparison measures the static write paths head to head on
-// the flux-threadpool server under the Figure 3 static load: the legacy
-// copy path (response assembled contiguously, one write), the vectored
-// zero-copy path (immutable header blob + cached body in one
-// writev(2)), and the vectored path with large bodies streamed via
+// the flux-threadpool server under the Figure 3 static load: the
+// vectored zero-copy path (immutable header blob + cached body in one
+// writev(2)), and the same path with large bodies streamed via
 // sendfile(2) from a materialized corpus.
 func writePathComparison(cfg benchConfig) error {
 	clients := []int{16, 64}
@@ -137,12 +136,10 @@ func writePathComparison(cfg benchConfig) error {
 
 	variants := []struct {
 		name        string
-		copyWrites  bool
 		materialize bool
 	}{
-		{"copy", true, false},
-		{"writev", false, false},
-		{"writev+sendfile", false, true},
+		{"writev", false},
+		{"writev+sendfile", true},
 	}
 	var targets []webTarget
 	for _, v := range variants {
@@ -169,7 +166,6 @@ func writePathComparison(cfg benchConfig) error {
 				Engine:        flux.ThreadPool,
 				PoolSize:      64,
 				SourceTimeout: 20 * time.Millisecond,
-				CopyWrites:    v.copyWrites,
 			})
 			if err != nil {
 				if cleanup != nil {
@@ -212,10 +208,9 @@ func writePathComparison(cfg benchConfig) error {
 	printResultTable("throughput (requests/sec):", targets, results, fmtTput)
 	printResultTable("\nmean latency:", targets, results,
 		func(res loadgen.WebResult) string { return fmtLat(res.Latency.Mean) })
-	fmt.Println("\ncopy renders each response contiguously in user space; writev sends the interned")
-	fmt.Println("header and the cached body in one vectored syscall (0 allocs/response); the")
-	fmt.Println("sendfile arm additionally streams bodies >= 64 KB from the materialized corpus")
-	fmt.Println("without the bytes ever entering user space")
+	fmt.Println("\nwritev sends the interned header and the cached body in one vectored syscall")
+	fmt.Println("(0 allocs/response); the sendfile arm additionally streams bodies >= 64 KB from")
+	fmt.Println("the materialized corpus without the bytes ever entering user space")
 	return nil
 }
 
@@ -249,28 +244,7 @@ func expWebMixed(cfg benchConfig) error {
 
 	files := loadgen.NewFileSet(2)
 	targets := webTargets(cfg, files)
-	// One arm forces the bare interpreter on the same engine, so every
-	// mixed sweep carries its own before/after of the interpreter tax.
-	targets = append(targets, webTarget{"flux-tp-interp", func(files *loadgen.FileSet) (string, func(), error) {
-		srv, err := webserver.New(webserver.Config{
-			Files:         files,
-			Engine:        flux.ThreadPool,
-			PoolSize:      64,
-			SourceTimeout: 20 * time.Millisecond,
-			Dispatch:      fscript.DispatchInterpretRaw,
-		})
-		if err != nil {
-			return "", nil, err
-		}
-		stop, err := startTarget(srv)
-		if err != nil {
-			return "", nil, err
-		}
-		return srv.Addr(), stop, nil
-	}})
 
-	fmt.Printf("dynamic dispatch: %s (flux-tp-interp forces the bare interpreter for comparison)\n",
-		fscript.DispatchCompiled)
 	fmt.Printf("SPECweb99-like mixed load: keep-alive connections, %.0f%% dynamic "+
 		"(of which %.0f%% POSTs), corpus %d MB\n\n",
 		100*loadgen.DefaultDynamicFraction, 100*loadgen.DefaultPostFraction,
@@ -305,10 +279,8 @@ func expWebMixed(cfg benchConfig) error {
 		fmt.Printf("%-16s %s\n", tgt.name, rows[len(rows)-1].ClassBreakdown())
 	}
 	fmt.Println("\npaper (§4.2): persistent connections + the mixed class/dynamic workload are the")
-	fmt.Println("conditions of Figure 3. The dynamic share used to be interpreter-bound and set")
-	fmt.Println("the throughput ceiling; with templates compiled to native Go (fluxc -fscript)")
-	fmt.Println("the ceiling lifts — flux-tp-interp re-runs the same engine on the bare")
-	fmt.Println("interpreter to show the tax. On the Flux event/steal engines the per-class")
+	fmt.Println("conditions of Figure 3. Dynamic pages run as templates compiled to native Go")
+	fmt.Println("(fluxc -fscript) on every server. On the Flux event/steal engines the per-class")
 	fmt.Println("table shows dynamic latency above static (MarkBlocking offloads script work),")
 	fmt.Println("while the baselines run scripts inline and show uniform per-class latency")
 	return nil

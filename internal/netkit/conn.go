@@ -16,6 +16,7 @@ package netkit
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -48,7 +49,8 @@ type Conn struct {
 	// writeTimeout, when > 0, arms a write deadline before every write
 	// through the Conn (Write, WriteVec, SendFile), so a dead or
 	// zero-window client cannot pin the writing goroutine forever —
-	// the write-side twin of the owners' read deadlines.
+	// the write-side twin of the owners' read deadlines. A write the
+	// deadline cuts off is counted as the plane's shed.
 	writeTimeout time.Duration
 
 	// vec and vecBack are the reusable two-element scatter list for
@@ -94,8 +96,26 @@ func (c *Conn) NetConn() net.Conn { return c.nc }
 // Write writes directly to the underlying connection, under the plane's
 // write deadline when one is configured.
 func (c *Conn) Write(p []byte) (int, error) {
+	n, err := c.write(p)
+	return n, c.countTimeout(err)
+}
+
+// write is Write without the shed accounting, for the plane's own shed
+// response: that shed is counted once, under the reason it was shed for.
+func (c *Conn) write(p []byte) (int, error) {
 	c.armWriteDeadline()
 	return c.nc.Write(p)
+}
+
+// countTimeout counts a write whose deadline expired as the plane
+// shedding a stalled client ("write-timeout") and passes err through.
+// The owner's error path then retires the connection, so every failed
+// write is counted exactly once, here, by whichever server wrote it.
+func (c *Conn) countTimeout(err error) error {
+	if c.plane != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+		c.plane.CountShed("write-timeout")
+	}
+	return err
 }
 
 // armWriteDeadline starts the write-timeout clock for the next write.
@@ -137,7 +157,7 @@ func (c *Conn) WriteVec(head, body []byte) error {
 		// Tear the transport down mid-frame: the conn must never carry
 		// another response after a partial one.
 		_ = c.nc.Close()
-		return fmt.Errorf("netkit: vectored write %d/%d bytes: %w", n, want, err)
+		return c.countTimeout(fmt.Errorf("netkit: vectored write %d/%d bytes: %w", n, want, err))
 	}
 	return nil
 }
@@ -152,7 +172,7 @@ func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 	if len(head) > 0 {
 		if n, err := c.nc.Write(head); err != nil {
 			_ = c.nc.Close()
-			return fmt.Errorf("netkit: sendfile header %d/%d bytes: %w", n, len(head), err)
+			return c.countTimeout(fmt.Errorf("netkit: sendfile header %d/%d bytes: %w", n, len(head), err))
 		}
 	}
 	// An *io.LimitedReader wrapping an *os.File is the shape
@@ -170,7 +190,7 @@ func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 	}
 	if err != nil {
 		_ = c.nc.Close()
-		return fmt.Errorf("netkit: sendfile body %d/%d bytes: %w", n, size, err)
+		return c.countTimeout(fmt.Errorf("netkit: sendfile body %d/%d bytes: %w", n, size, err))
 	}
 	return nil
 }

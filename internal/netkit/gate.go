@@ -79,6 +79,17 @@ func NewGateObserver(watermark int, obs runtime.Observer) (*Gate, runtime.Observ
 	return g, runtime.MultiObserver(obs, g)
 }
 
+// SamplePeriod is the queue-depth sampling period a server asks its
+// runtime for (runtime.WithQueueSampleInterval): 5ms when an admission
+// watermark is set — the gate needs a fresh signal — else 0, the
+// runtime's default.
+func SamplePeriod(watermark int) time.Duration {
+	if watermark > 0 {
+		return 5 * time.Millisecond
+	}
+	return 0
+}
+
 // Watermark returns the current threshold.
 func (g *Gate) Watermark() int { return int(g.watermark.Load()) }
 

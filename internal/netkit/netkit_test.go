@@ -11,8 +11,11 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/runtime"
-	"github.com/flux-lang/flux/internal/servers/httpkit"
 )
+
+// unavailable is the shed response the plane tests configure: a 503
+// announcing the close, as the HTTP servers send.
+var unavailable = []byte("HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
 
 // shedRecorder counts ConnShed events delivered through the Observer
 // plane. Embedding a Gate (a full runtime.Observer) supplies the
@@ -115,7 +118,7 @@ func TestPlaneShedsOnMaxConns(t *testing.T) {
 	p, stop := startPlane(t, Config{
 		Name:         "capped",
 		MaxConns:     1,
-		ShedResponse: httpkit.Unavailable(),
+		ShedResponse: unavailable,
 		Observer:     rec,
 		Admit: func(c *Conn) error {
 			go func() {
@@ -197,7 +200,7 @@ func TestPlaneShedsWhileGateOverloaded(t *testing.T) {
 	admitted := make(chan *Conn, 16)
 	p, stop := startPlane(t, Config{
 		Gate:         g,
-		ShedResponse: httpkit.Unavailable(),
+		ShedResponse: unavailable,
 		Admit: func(c *Conn) error {
 			admitted <- c
 			return nil

@@ -51,9 +51,10 @@ type Config struct {
 
 	// WriteTimeout, when > 0, bounds every write through an admitted
 	// Conn (Write, WriteVec, SendFile): a dead or zero-window client
-	// stalls the response for at most this long before the write fails
-	// and the owner's error path retires the connection. 0 preserves
-	// the historical block-forever behavior.
+	// stalls the response for at most this long before the write fails,
+	// the plane counts the shed ("write-timeout"), and the owner's error
+	// path retires the connection. 0 preserves the historical
+	// block-forever behavior.
 	WriteTimeout time.Duration
 
 	// ListenShards, when > 1, opens that many SO_REUSEPORT listeners on
@@ -257,10 +258,11 @@ func (p *Plane) AdoptAndAdmit(nc net.Conn) error {
 // ShedConn sheds a connection the server cannot serve right now: the
 // shed response (503 with Connection: close for the HTTP servers) is
 // written, the connection closes, and the drop is counted and routed
-// through the Observer plane — never a silent default-branch close.
+// through the Observer plane — never a silent default-branch close. It
+// counts once, under reason, even when the 503 itself times out.
 func (p *Plane) ShedConn(c *Conn, reason string) {
 	if p.cfg.ShedResponse != nil {
-		if _, err := c.Write(p.cfg.ShedResponse); err == nil {
+		if _, err := c.write(p.cfg.ShedResponse); err == nil {
 			p.shed.Add(1)
 			runtime.ConnShed(p.cfg.Observer, p.name, reason)
 			// Closing off the accept goroutine: the drain below can wait
@@ -312,7 +314,8 @@ func (p *Plane) dropConn(c *Conn, reason string) {
 // CountShed records a shed without touching any connection — for sheds
 // whose close is owned by the flow that detected them (a read-deadline
 // timeout still runs its error terminal, and Close pools the conn, so
-// the plane must not race it with a second close).
+// the plane must not race it with a second close). Writes through a
+// Conn count their own timeouts.
 func (p *Plane) CountShed(reason string) {
 	p.shed.Add(1)
 	runtime.ConnShed(p.cfg.Observer, p.name, reason)

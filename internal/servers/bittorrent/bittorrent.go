@@ -211,9 +211,6 @@ type Config struct {
 	// MaxConns, when > 0, caps live peer connections; accepts beyond it
 	// are shed. Outbound dials bypass the cap (the server chose them).
 	MaxConns int
-	// QueueSample overrides the queue-depth sampling period (default
-	// 5ms with an AdmitWatermark, else the runtime's 100ms).
-	QueueSample time.Duration
 	// TargetP95, when > 0, puts admission under the SLO controller:
 	// served flow latency is measured on the Observer plane and every
 	// control interval the watermark — and the connection cap — takes
@@ -313,9 +310,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.TargetP95 > 0 && cfg.AdmitWatermark <= 0 {
 		cfg.AdmitWatermark = 64 // the controller's starting point
-	}
-	if cfg.QueueSample <= 0 && cfg.AdmitWatermark > 0 {
-		cfg.QueueSample = 5 * time.Millisecond
 	}
 
 	astProg, err := parser.Parse("bittorrent.flux", FluxSource)
@@ -435,7 +429,7 @@ func New(cfg Config) (*Server, error) {
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(cfg.QueueSample),
+		runtime.WithQueueSampleInterval(netkit.SamplePeriod(cfg.AdmitWatermark)),
 	)
 	if err != nil {
 		return nil, err

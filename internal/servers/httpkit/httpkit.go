@@ -1,10 +1,12 @@
-// Package httpkit holds the minimal HTTP/1.1 plumbing shared by the
-// Flux web server and the hand-written baseline servers (knotweb,
-// sedaweb): response rendering, the Connection: close announcement, and
-// the request-parsing hardening limits. Sharing them keeps the macro
-// benchmark's servers byte-compatible on the wire — the comparison must
-// measure server architecture, nothing else — and keeps a hardening fix
-// from having to land in three places.
+// Package httpkit is the one HTTP/1.1 layer of the web servers — the
+// Flux web server and the hand-written baselines (knotweb, sedaweb) —
+// and writes the image server's responses. It parses every request
+// (ReadRequest: GET/POST over HTTP/1.x, with line, header and body caps)
+// and writes every response (Respond: an interned header and writev(2)
+// for static bodies, sendfile(2) for large materialized files, a
+// per-response header for rendered pages). The servers differ only in
+// how they schedule those two calls, so the macro comparison measures
+// server architecture and a hardening fix lands in one place.
 package httpkit
 
 import (
@@ -12,9 +14,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
+
+	"github.com/flux-lang/flux/internal/netkit"
+	"github.com/flux-lang/flux/internal/servers/webserver/fscript"
 )
 
 // Request-parser hardening limits: a request exceeding them is
@@ -29,10 +35,70 @@ const (
 	MaxLineBytes = 8 << 10
 )
 
-// ReadLine reads one \n-terminated line, refusing lines longer than
+// SendfileThreshold is the body size from which a static file with a
+// materialized copy on disk is streamed with sendfile(2) instead of
+// being held in user space.
+const SendfileThreshold = 64 << 10
+
+// Request is one parsed request.
+type Request struct {
+	Method    string // GET or POST
+	Path      string
+	Query     string
+	Body      []byte // a POST's payload; other declared bodies are consumed and dropped
+	KeepAlive bool   // the client did not ask to close
+}
+
+// Dynamic reports whether the request is answered by a rendered page —
+// a form POST or a benchmark page — rather than a static file.
+func (r *Request) Dynamic() bool {
+	return r.Method == "POST" || fscript.IsDynamicPath(r.Path)
+}
+
+// ReadRequest reads one request — request line, headers, and the
+// Content-Length-delimited body — from br. It is the framing step of
+// every keep-alive round: after a successful return br is positioned
+// exactly at the next request. Only GET and POST over HTTP/1.x are
+// accepted; anything else, or anything past the caps, is an error and
+// the caller drops the connection without a response.
+func ReadRequest(br *bufio.Reader) (Request, error) {
+	line, err := readLine(br)
+	if err != nil {
+		return Request{}, err // EOF, reset, timeout, or oversized
+	}
+	fields := strings.Fields(line)
+	if len(fields) != 3 {
+		return Request{}, fmt.Errorf("httpkit: malformed request line %q", line)
+	}
+	r := Request{Method: fields[0]}
+	if r.Method != "GET" && r.Method != "POST" {
+		return Request{}, fmt.Errorf("httpkit: unsupported method %q", r.Method)
+	}
+	if !strings.HasPrefix(fields[2], "HTTP/1.") {
+		return Request{}, fmt.Errorf("httpkit: unsupported protocol %q", fields[2])
+	}
+	r.Path, r.Query, _ = strings.Cut(fields[1], "?")
+	keepAlive, contentLen, err := readHeaders(br)
+	if err != nil {
+		return Request{}, err
+	}
+	r.KeepAlive = keepAlive
+	// Consume the declared body whatever the method, so keep-alive
+	// framing survives; only POSTs keep it.
+	body, err := readBody(br, contentLen)
+	if err != nil {
+		return Request{}, err
+	}
+	if r.Method == "POST" {
+		r.Body = body
+	}
+	return r, nil
+}
+
+// readLine reads one \n-terminated line, refusing lines longer than
 // MaxLineBytes: unlike bufio.Reader.ReadString, a hostile stream with
 // no newline fails at the cap instead of accumulating without bound.
-func ReadLine(br *bufio.Reader) (string, error) {
+func readLine(br *bufio.Reader) (string, error) {
 	var sb strings.Builder
 	for {
 		frag, err := br.ReadSlice('\n')
@@ -49,18 +115,18 @@ func ReadLine(br *bufio.Reader) (string, error) {
 	}
 }
 
-// ReadHeaders consumes header lines through the terminating blank line,
+// readHeaders consumes header lines through the terminating blank line,
 // honoring the two headers these servers speak: `Connection: close` and
 // `Content-Length` (validated against MaxBodyBytes). Line length and
 // header count are both capped.
-func ReadHeaders(br *bufio.Reader) (keepAlive bool, contentLen int, err error) {
+func readHeaders(br *bufio.Reader) (keepAlive bool, contentLen int, err error) {
 	keepAlive = true
 	sawContentLen := false
 	for n := 0; ; n++ {
 		if n >= MaxHeaderLines {
 			return false, 0, fmt.Errorf("httpkit: more than %d header lines", MaxHeaderLines)
 		}
-		h, err := ReadLine(br)
+		h, err := readLine(br)
 		if err != nil {
 			return false, 0, err
 		}
@@ -88,9 +154,8 @@ func ReadHeaders(br *bufio.Reader) (keepAlive bool, contentLen int, err error) {
 			}
 			// Duplicate Content-Length headers with conflicting values are
 			// the request-smuggling shape: two parsers on the path framing
-			// the body differently. Last-wins silently accepted them
-			// before; now only byte-identical repeats pass (RFC 7230 §3.3.2
-			// allows collapsing those).
+			// the body differently. Only byte-identical repeats pass
+			// (RFC 7230 §3.3.2 allows collapsing those).
 			if sawContentLen && cl != contentLen {
 				return false, 0, fmt.Errorf("httpkit: conflicting content lengths %d and %d", contentLen, cl)
 			}
@@ -100,9 +165,9 @@ func ReadHeaders(br *bufio.Reader) (keepAlive bool, contentLen int, err error) {
 	}
 }
 
-// ReadBody consumes a Content-Length-delimited body (nil when none is
-// declared). ReadHeaders has already validated the length.
-func ReadBody(br *bufio.Reader, contentLen int) ([]byte, error) {
+// readBody consumes a Content-Length-delimited body (nil when none is
+// declared). readHeaders has already validated the length.
+func readBody(br *bufio.Reader, contentLen int) ([]byte, error) {
 	if contentLen <= 0 {
 		return nil, nil
 	}
@@ -113,14 +178,104 @@ func ReadBody(br *bufio.Reader, contentLen int) ([]byte, error) {
 	return body, nil
 }
 
-// Render builds a complete HTTP/1.1 response.
+// Body is what a response carries: a static body (Bytes), a
+// materialized file (File and Size), or a page from RenderDynamic.
+type Body struct {
+	// Bytes is a static body whose length comes from a bounded set (a
+	// corpus file, a cached compression): its header is interned and
+	// both go out in one writev(2), never copied.
+	Bytes []byte
+	// File names a materialized file of Size bytes, streamed with
+	// sendfile(2) so the bytes never enter user space.
+	File string
+	Size int64
+	// page is a rendered page in a pooled buffer. Its length depends on
+	// the request — a POST confirmation echoes the path — so its header
+	// is rendered per response and never interned; the buffer returns to
+	// the pool once the page is written.
+	page *fscript.Buf
+}
+
+// RenderDynamic renders the page a dynamic request is answered with —
+// the confirmation for a form POST, otherwise the benchmark page for
+// the path — into a pooled buffer that Respond recycles. work is the
+// pages' default loop bound.
+func RenderDynamic(pages *fscript.BenchPages, r *Request, work int64) (Body, error) {
+	buf := fscript.GetBuf()
+	if r.Method == "POST" {
+		buf.B = appendPostConfirm(buf.B, r.Path, len(r.Body))
+		return Body{page: buf}, nil
+	}
+	out, err := pages.RenderTo(buf.B, r.Path, r.Query, work)
+	if err != nil {
+		fscript.PutBuf(buf)
+		return Body{}, err
+	}
+	buf.B = out
+	return Body{page: buf}, nil
+}
+
+// Respond writes one complete response, announcing Connection: close
+// when last is set (the caller closes the connection after it). It is
+// the only response writer of the web and image servers. A write whose
+// deadline expires is counted as a shed by the connection plane; the
+// caller only has to retire the connection.
+func Respond(c *netkit.Conn, code int, status, ctype string, body Body, last bool) error {
+	switch {
+	case body.page != nil:
+		// The header is rendered into the page buffer's spare capacity,
+		// so a rendered response allocates nothing either.
+		buf := body.page
+		n := len(buf.B)
+		buf.B = appendHead(buf.B, code, status, ctype, n, last)
+		err := c.WriteVec(buf.B[n:], buf.B[:n])
+		fscript.PutBuf(buf)
+		return err
+	case body.File != "":
+		f, err := os.Open(body.File)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return c.SendFile(StaticHeader(code, status, ctype, int(body.Size), last), f, body.Size)
+	default:
+		return c.WriteVec(StaticHeader(code, status, ctype, len(body.Bytes), last), body.Bytes)
+	}
+}
+
+// notFoundPage is the web servers' 404 page.
+var notFoundPage = []byte("<html><body><h1>404 Not Found</h1></body></html>")
+
+// NotFound answers a request for an unknown path. The response
+// announces the close: a 404 ends the conversation.
+func NotFound(c *netkit.Conn) error {
+	return Respond(c, 404, "Not Found", "text/html", Body{Bytes: notFoundPage}, true)
+}
+
+// appendHead appends a response head — status line, Content-Type,
+// Content-Length, Connection: close when closing, blank line. Every
+// header this package produces comes from here, so rendered, interned
+// and canned responses cannot drift apart on the wire.
+func appendHead(dst []byte, code int, status, ctype string, contentLen int, closing bool) []byte {
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(code), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, status...)
+	dst = append(dst, "\r\nContent-Type: "...)
+	dst = append(dst, ctype...)
+	dst = append(dst, "\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(contentLen), 10)
+	dst = append(dst, "\r\n"...)
+	if closing {
+		dst = append(dst, "Connection: close\r\n"...)
+	}
+	return append(dst, "\r\n"...)
+}
+
+// Render builds a complete HTTP/1.1 response in one contiguous buffer.
 func Render(code int, status, ctype string, body []byte) []byte {
-	head := fmt.Sprintf("HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
-		code, status, ctype, len(body))
-	out := make([]byte, 0, len(head)+len(body))
-	out = append(out, head...)
-	out = append(out, body...)
-	return out
+	out := appendHead(make([]byte, 0, 128+len(body)), code, status, ctype, len(body), false)
+	return append(out, body...)
 }
 
 // headerKey identifies one immutable header blob: static responses reuse
@@ -141,11 +296,11 @@ var (
 
 // StaticHeader returns the pre-serialized header block for a response of
 // the given shape — byte-identical to the head Render produces (and,
-// with close set, to what WithCloseHeader inserts), so the zero-copy and
-// copy paths stay wire-compatible. Blobs are immutable and cached
-// per (code, status, ctype, length, close): the hot path is one
-// read-locked map lookup with no allocation. Callers must treat the
-// returned slice as read-only.
+// with close set, to what WithCloseHeader inserts). Blobs are immutable
+// and cached per (code, status, ctype, length, close): the hot path is
+// one read-locked map lookup with no allocation. Only bounded-length
+// bodies may use it, or the cache grows without bound. Callers must
+// treat the returned slice as read-only.
 func StaticHeader(code int, status, ctype string, contentLen int, close bool) []byte {
 	key := headerKey{code: code, status: status, ctype: ctype, contentLen: contentLen, closing: close}
 	headerMu.RLock()
@@ -154,13 +309,7 @@ func StaticHeader(code int, status, ctype string, contentLen int, close bool) []
 	if blob != nil {
 		return blob
 	}
-	head := fmt.Sprintf("HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n",
-		code, status, ctype, contentLen)
-	if close {
-		head += "Connection: close\r\n"
-	}
-	head += "\r\n"
-	blob = []byte(head)
+	blob = appendHead(nil, code, status, ctype, contentLen, close)
 	headerMu.Lock()
 	// First writer wins so every caller shares one blob.
 	if prev, ok := headerBlobs[key]; ok {
@@ -172,12 +321,19 @@ func StaticHeader(code int, status, ctype string, contentLen int, close bool) []
 	return blob
 }
 
-// RenderPostConfirm builds the POST confirmation response every server
-// answers form submissions with; byte-for-byte parity keeps the macro
-// comparison measuring architecture only.
+// appendPostConfirm appends the confirmation page every server answers
+// form submissions with.
+func appendPostConfirm(dst []byte, path string, bodyLen int) []byte {
+	dst = append(dst, "<html><body><p>POST "...)
+	dst = append(dst, path...)
+	dst = append(dst, ": received "...)
+	dst = strconv.AppendInt(dst, int64(bodyLen), 10)
+	return append(dst, " bytes</p></body></html>"...)
+}
+
+// RenderPostConfirm builds the complete POST confirmation response.
 func RenderPostConfirm(path string, bodyLen int) []byte {
-	page := fmt.Sprintf("<html><body><p>POST %s: received %d bytes</p></body></html>", path, bodyLen)
-	return Render(200, "OK", "text/html", []byte(page))
+	return Render(200, "OK", "text/html", appendPostConfirm(nil, path, bodyLen))
 }
 
 // unavailable is the canned overload answer, rendered once: admission
@@ -192,9 +348,8 @@ func Unavailable() []byte { return unavailable }
 
 // WithCloseHeader copies a rendered response with a Connection: close
 // header inserted before the blank line, announcing the close so
-// keep-alive clients reconnect instead of failing. Responses cached and
-// shared between connections stay header-free; the copy happens only on
-// a connection's final response.
+// keep-alive clients reconnect instead of failing. The input is left
+// untouched.
 func WithCloseHeader(resp []byte) []byte {
 	i := bytes.Index(resp, []byte("\r\n\r\n"))
 	if i < 0 {

@@ -3,8 +3,16 @@ package httpkit
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/flux-lang/flux/internal/netkit"
+	"github.com/flux-lang/flux/internal/servers/webserver/fscript"
 )
 
 func TestRenderFraming(t *testing.T) {
@@ -48,7 +56,7 @@ func TestWithCloseHeader(t *testing.T) {
 func TestReadHeadersDuplicateContentLength(t *testing.T) {
 	read := func(headers string) (bool, int, error) {
 		br := bufio.NewReader(strings.NewReader(headers))
-		return ReadHeaders(br)
+		return readHeaders(br)
 	}
 	if _, _, err := read("Content-Length: 5\r\nContent-Length: 6\r\n\r\n"); err == nil {
 		t.Error("conflicting Content-Length headers accepted")
@@ -95,5 +103,128 @@ func TestStaticHeaderInterned(t *testing.T) {
 		_ = StaticHeader(200, "OK", "text/html", 4096, false)
 	}); allocs != 0 {
 		t.Errorf("interned lookup allocates %v per call", allocs)
+	}
+}
+
+// loopback returns a plane-admitted server-side Conn and the client end
+// of its TCP connection; the client drains nothing unless asked.
+func loopback(t testing.TB) (*netkit.Conn, net.Conn) {
+	t.Helper()
+	admitted := make(chan *netkit.Conn, 1)
+	p, err := netkit.Listen(netkit.Config{Admit: func(c *netkit.Conn) error { admitted <- c; return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := p.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	client, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := <-admitted
+	t.Cleanup(func() {
+		client.Close()
+		c.Close()
+		cancel()
+		_ = p.Wait()
+	})
+	return c, client
+}
+
+// TestRespondWire: every body kind goes out as exactly the bytes Render
+// builds, with WithCloseHeader's insertion on a connection's last
+// response — interned, per-response and sendfile headers alike.
+func TestRespondWire(t *testing.T) {
+	pages, err := fscript.NewBenchPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := bytes.Repeat([]byte("s"), 1000)
+	file := filepath.Join(t.TempDir(), "large")
+	large := bytes.Repeat([]byte("f"), SendfileThreshold)
+	if err := os.WriteFile(file, large, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	page, err := pages.Render("/dynamic", "n=10", 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := &Request{Method: "POST", Path: "/post", Body: []byte("ab=cd")}
+	get := &Request{Method: "GET", Path: "/dynamic", Query: "n=10"}
+
+	cases := []struct {
+		name string
+		body func() Body
+		want []byte
+	}{
+		{"static", func() Body { return Body{Bytes: static} }, Render(200, "OK", "text/html", static)},
+		{"file", func() Body { return Body{File: file, Size: int64(len(large))} }, Render(200, "OK", "text/html", large)},
+		{"page", func() Body {
+			b, err := RenderDynamic(pages, get, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}, Render(200, "OK", "text/html", []byte(page))},
+		{"post", func() Body {
+			b, _ := RenderDynamic(pages, post, 2000)
+			return b
+		}, RenderPostConfirm("/post", 5)},
+	}
+	for _, tc := range cases {
+		for _, last := range []bool{false, true} {
+			c, client := loopback(t)
+			errc := make(chan error, 1)
+			go func() { errc <- Respond(c, 200, "OK", "text/html", tc.body(), last) }()
+			want := tc.want
+			if last {
+				want = WithCloseHeader(want)
+			}
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(client, got); err != nil {
+				t.Fatalf("%s last=%v: read: %v", tc.name, last, err)
+			}
+			if err := <-errc; err != nil {
+				t.Fatalf("%s last=%v: Respond: %v", tc.name, last, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s last=%v: got %q, want %q", tc.name, last, got[:min(len(got), 120)], want[:min(len(want), 120)])
+			}
+		}
+	}
+}
+
+// TestRespondStaticZeroAllocs: the static path — interned header lookup
+// plus one vectored write over a real socket — allocates nothing.
+func TestRespondStaticZeroAllocs(t *testing.T) {
+	c, client := loopback(t)
+	go io.Copy(io.Discard, client)
+	body := Body{Bytes: bytes.Repeat([]byte("b"), 4096)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := Respond(c, 200, "OK", "text/html", body, false); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("static Respond allocates %v per response", allocs)
+	}
+}
+
+// BenchmarkStaticResponseWrite is the CI-gated static hot path: header
+// blob lookup plus one vectored write per response. The allocation
+// budget is zero — any per-response allocation is a regression the
+// benchdiff gate fails.
+func BenchmarkStaticResponseWrite(b *testing.B) {
+	c, client := loopback(b)
+	go io.Copy(io.Discard, client)
+	body := Body{Bytes: bytes.Repeat([]byte("b"), 4096)}
+	b.SetBytes(int64(len(body.Bytes)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Respond(c, 200, "OK", "text/html", body, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

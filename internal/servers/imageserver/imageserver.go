@@ -16,10 +16,8 @@ package imageserver
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"image/jpeg"
-	"net"
 	"strconv"
 	"strings"
 	"time"
@@ -115,18 +113,10 @@ type Config struct {
 	// MaxConns, when > 0, caps live connections; accepts beyond it are
 	// shed with a 503.
 	MaxConns int
-	// QueueSample overrides the queue-depth sampling period (default
-	// 5ms with an AdmitWatermark — admission control needs a fresh
-	// signal — else the runtime's 100ms).
-	QueueSample time.Duration
 	// WriteTimeout, when > 0, bounds every response write; a dead or
 	// zero-window client fails the write, the connection is torn down,
-	// and the shed is counted on the Observer plane.
+	// and the plane counts the shed on the Observer plane.
 	WriteTimeout time.Duration
-	// ListenShards, when > 1, opens that many SO_REUSEPORT accept
-	// shards; platforms without SO_REUSEPORT fall back to a single
-	// listener.
-	ListenShards int
 }
 
 // Server is a runnable Flux image server, driven through the runtime's
@@ -168,9 +158,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("imageserver: compile: %w", err)
 	}
 
-	if cfg.QueueSample <= 0 && cfg.AdmitWatermark > 0 {
-		cfg.QueueSample = 5 * time.Millisecond
-	}
 	s := &Server{
 		cfg:     cfg,
 		prog:    prog,
@@ -200,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(cfg.QueueSample),
+		runtime.WithQueueSampleInterval(netkit.SamplePeriod(cfg.AdmitWatermark)),
 		// Admission is external: the connection plane injects every flow.
 		runtime.WithKeepAlive(),
 	)
@@ -214,7 +201,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConns:     cfg.MaxConns,
 		ShedResponse: httpkit.Unavailable(),
 		WriteTimeout: cfg.WriteTimeout,
-		ListenShards: cfg.ListenShards,
 		Observer:     obs,
 		Name:         "imageserver",
 	})
@@ -384,24 +370,21 @@ func (s *Server) storeInCache(fl *runtime.Flow, in runtime.Record) (runtime.Reco
 	return in, nil
 }
 
-// write sends the JPEG response: the immutable header blob and the
-// cached JPEG go out in one writev(2) — the response is never assembled
-// into a contiguous buffer, so cache hits cost zero allocations here.
+// write sends the JPEG response through the shared responder: the
+// immutable header blob and the cached JPEG go out in one writev(2) —
+// the response is never assembled into a contiguous buffer, so cache
+// hits cost zero allocations here. Every image response is the
+// connection's last, and says so.
 func (s *Server) write(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	c := in[0].(*netkit.Conn)
 	tag := in[2].(*Tag)
-	head := httpkit.StaticHeader(200, "OK", "image/jpeg", len(tag.jpeg), false)
-	if err := c.WriteVec(head, tag.jpeg); err != nil {
+	if err := httpkit.Respond(c, 200, "OK", "image/jpeg", httpkit.Body{Bytes: tag.jpeg}, in[1].(bool)); err != nil {
 		// Figure 2 declares no handler for Write, so the flow will
 		// terminate here; release the flow's cache reference so a
 		// vanished client cannot pin the entry. A popped write deadline
-		// is the server shedding a dead client — count it.
+		// is the plane shedding a dead client, already counted.
 		if tag.hit || tag.stored {
 			s.cache.Release(tag.key)
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.cp.CountShed("write-timeout")
 		}
 		c.Close()
 		return nil, err
@@ -424,11 +407,13 @@ func (s *Server) complete(fl *runtime.Flow, in runtime.Record) (runtime.Record, 
 	return nil, nil
 }
 
-// fourOhFour answers a missing image.
+// imageNotFound is the body of the image server's 404.
+var imageNotFound = []byte("image not found")
+
+// fourOhFour answers a missing image and closes.
 func (s *Server) fourOhFour(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	c := in[0].(*netkit.Conn)
-	body := []byte("image not found")
-	_ = c.WriteVec(httpkit.StaticHeader(404, "Not Found", "text/plain", len(body), false), body)
+	_ = httpkit.Respond(c, 404, "Not Found", "text/plain", httpkit.Body{Bytes: imageNotFound}, in[1].(bool))
 	c.Close()
 	return nil, nil
 }

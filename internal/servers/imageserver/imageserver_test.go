@@ -127,6 +127,31 @@ func TestMissingImage404(t *testing.T) {
 	}
 }
 
+// TestResponsesAnnounceClose: the image protocol is one request per
+// connection, so every response — image or 404 — must say
+// Connection: close (RFC 7230 §6.6) before the server hangs up.
+func TestResponsesAnnounceClose(t *testing.T) {
+	_, addr, stop := startServer(t, Config{Engine: runtime.ThreadPerFlow})
+	defer stop()
+	for _, path := range []string{"/img0/2", "/nosuchimage/4"} {
+		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n\r\n", path)
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		head, _, _ := strings.Cut(string(resp), "\r\n\r\n")
+		if !strings.Contains(head, "\r\nConnection: close") {
+			t.Errorf("%s: head %q does not announce the close", path, head)
+		}
+	}
+}
+
 func TestCacheHitSecondFetch(t *testing.T) {
 	s, addr, stop := startServer(t, Config{Engine: runtime.ThreadPerFlow})
 	defer stop()

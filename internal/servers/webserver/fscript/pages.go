@@ -36,6 +36,19 @@ var BenchWorkPage string
 //go:embed bench_ad.fs
 var BenchAdPage string
 
+// The URL prefixes the benchmark pages are served under: the one list
+// of dynamic paths every web server routes by.
+const (
+	workPath = "/dynamic"
+	adPath   = "/adrotate"
+)
+
+// IsDynamicPath reports whether a GET for path is answered by a
+// benchmark page rather than a static file.
+func IsDynamicPath(path string) bool {
+	return strings.HasPrefix(path, workPath) || strings.HasPrefix(path, adPath)
+}
+
 // Dispatch selects how BenchPages renders a dynamic request.
 type Dispatch int32
 
@@ -172,7 +185,7 @@ func (b *BenchPages) RenderTo(out []byte, path, query string, defaultWork int64)
 			work = n
 		}
 	}
-	if strings.HasPrefix(path, "/adrotate") {
+	if strings.HasPrefix(path, adPath) {
 		var user int64
 		if v := QueryParam(query, "u"); v != "" {
 			user, _ = strconv.ParseInt(v, 10, 64)

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/flux-lang/flux/internal/servers/httpkit"
 )
 
 // FuzzReadRequest feeds arbitrary byte streams to the HTTP/1.1 request
@@ -50,7 +52,7 @@ func FuzzReadRequest(f *testing.F) {
 			if req.Path == "" {
 				t.Fatal("accepted empty path")
 			}
-			if len(req.Body) > MaxBodyBytes {
+			if len(req.Body) > httpkit.MaxBodyBytes {
 				t.Fatalf("body %d bytes exceeds cap", len(req.Body))
 			}
 			if req.post != (req.Method == "POST") {

@@ -2,75 +2,19 @@ package webserver
 
 import (
 	"bufio"
-	"fmt"
-	"strings"
 
 	"github.com/flux-lang/flux/internal/servers/httpkit"
 )
 
-// Parser hardening limits (shared with the baseline servers via
-// httpkit): a request that exceeds them is malformed and the connection
-// is discarded, so one hostile client cannot balloon the server's
-// memory.
-const (
-	// MaxHeaderLines bounds the header count per request.
-	MaxHeaderLines = httpkit.MaxHeaderLines
-	// MaxBodyBytes bounds the Content-Length a request may declare.
-	MaxBodyBytes = httpkit.MaxBodyBytes
-	// MaxLineBytes bounds one request or header line.
-	MaxLineBytes = httpkit.MaxLineBytes
-)
-
-// ParseRequest reads one HTTP/1.1 request — request line, headers, and
-// the Content-Length-delimited body when one is declared — from br. It
-// is the framing step of every keep-alive round: after a successful
-// return the reader is positioned exactly at the next request. It is a
-// standalone function (not a Server method) so the fuzz harness can
-// drive it directly.
+// ParseRequest reads one request with the shared parser (httpkit) and
+// classifies it for the graph's dispatch: POST, dynamic page, or static
+// (cache) lookup. After a successful return the reader is positioned
+// exactly at the next request. It is a standalone function (not a
+// Server method) so the fuzz harness can drive it directly.
 func ParseRequest(br *bufio.Reader) (*Request, error) {
-	line, err := httpkit.ReadLine(br)
+	hr, err := httpkit.ReadRequest(br)
 	if err != nil {
-		return nil, err // EOF, reset, or oversized: handled by Discard
+		return nil, err // EOF, reset, timeout, or malformed: handled by Discard
 	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 3 {
-		return nil, fmt.Errorf("webserver: malformed request line %q", line)
-	}
-	req := &Request{Method: fields[0]}
-	switch req.Method {
-	case "GET", "POST":
-	default:
-		return nil, fmt.Errorf("webserver: unsupported method %q", req.Method)
-	}
-	if !strings.HasPrefix(fields[2], "HTTP/1.") {
-		return nil, fmt.Errorf("webserver: unsupported protocol %q", fields[2])
-	}
-	if i := strings.IndexByte(fields[1], '?'); i >= 0 {
-		req.Path, req.Query = fields[1][:i], fields[1][i+1:]
-	} else {
-		req.Path = fields[1]
-	}
-
-	keepAlive, contentLen, err := httpkit.ReadHeaders(br)
-	if err != nil {
-		return nil, err
-	}
-	req.KeepAlive = keepAlive
-
-	// Consume the declared body whatever the method, so keep-alive
-	// framing survives; only POSTs keep it.
-	body, err := httpkit.ReadBody(br, contentLen)
-	if err != nil {
-		return nil, err
-	}
-	if req.Method == "POST" {
-		req.Body = body
-	}
-
-	req.post = req.Method == "POST"
-	// POSTs are dynamic too: they bypass the response cache entirely.
-	req.dynamic = req.post ||
-		strings.HasPrefix(req.Path, "/dynamic") || strings.HasPrefix(req.Path, "/adrotate")
-	req.cacheKey = req.Path
-	return req, nil
+	return &Request{Request: hr, post: hr.Method == "POST", dynamic: hr.Dynamic()}, nil
 }

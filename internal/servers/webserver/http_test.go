@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/flux-lang/flux/internal/servers/httpkit"
 )
 
 func parse(t *testing.T, raw string) (*Request, error) {
@@ -17,10 +19,10 @@ func TestParseRequestLimits(t *testing.T) {
 		name string
 		raw  string
 	}{
-		{"oversized request line", "GET /" + strings.Repeat("a", MaxLineBytes) + " HTTP/1.1\r\n\r\n"},
-		{"oversized header line", "GET / HTTP/1.1\r\nX-Pad: " + strings.Repeat("a", MaxLineBytes) + "\r\n\r\n"},
-		{"too many headers", "GET / HTTP/1.1\r\n" + strings.Repeat("X-Pad: y\r\n", MaxHeaderLines+1) + "\r\n"},
-		{"oversized body", fmt.Sprintf("POST /post HTTP/1.1\r\nContent-Length: %d\r\n\r\n", MaxBodyBytes+1)},
+		{"oversized request line", "GET /" + strings.Repeat("a", httpkit.MaxLineBytes) + " HTTP/1.1\r\n\r\n"},
+		{"oversized header line", "GET / HTTP/1.1\r\nX-Pad: " + strings.Repeat("a", httpkit.MaxLineBytes) + "\r\n\r\n"},
+		{"too many headers", "GET / HTTP/1.1\r\n" + strings.Repeat("X-Pad: y\r\n", httpkit.MaxHeaderLines+1) + "\r\n"},
+		{"oversized body", fmt.Sprintf("POST /post HTTP/1.1\r\nContent-Length: %d\r\n\r\n", httpkit.MaxBodyBytes+1)},
 		{"negative body", "POST /post HTTP/1.1\r\nContent-Length: -1\r\n\r\n"},
 		{"bad method", "DELETE /x HTTP/1.1\r\n\r\n"},
 		{"bad protocol", "GET / SPDY/9\r\n\r\n"},

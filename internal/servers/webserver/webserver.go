@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"github.com/flux-lang/flux/internal/core"
@@ -81,30 +80,19 @@ atomic Cleanup:{cache};
 `
 
 // Request is the per-request state flowing through the graph (the
-// paper's http_req struct).
+// paper's http_req struct): the parsed request, its classification, and
+// the response body the handlers chose. The path is the cache key.
 type Request struct {
-	Method    string
-	Path      string
-	Query     string
-	Body      []byte // POST payload (Content-Length-delimited)
-	KeepAlive bool
+	httpkit.Request
 
-	post     bool
-	dynamic  bool
-	hit      bool
-	stored   bool // this flow inserted the cache entry (owns one reference)
-	cacheKey string
-	// response is the fully rendered reply — the dynamic/POST fallback
-	// path, and every response in CopyWrites mode.
-	response []byte
-	// body is a static response's payload, served zero-copy: the header
-	// comes from httpkit's shared blob cache and body goes out in the
-	// same writev(2), never assembled into a contiguous response.
-	body []byte
-	// fileName/fileSize describe a large static body served from the
-	// materialized corpus with sendfile(2); body stays nil.
-	fileName string
-	fileSize int64
+	post    bool
+	dynamic bool
+	hit     bool
+	stored  bool // this flow inserted the cache entry (owns one reference)
+	// body is the response payload: a cached or freshly read static body
+	// (sent zero-copy with an interned header), a large materialized
+	// file (sent with sendfile(2)), or a rendered page.
+	body httpkit.Body
 }
 
 // Config tunes the server.
@@ -131,11 +119,6 @@ type Config struct {
 	// ScriptWork is the loop bound handed to dynamic pages (default
 	// 2000), controlling per-request CPU like the paper's PHP pages.
 	ScriptWork int
-	// Dispatch selects how dynamic pages render. The zero value is
-	// compiled-first (native Go generated by fluxc -fscript, with the
-	// interpreter as fallback); experiments force the interpreter —
-	// with or without the fragment cache — to measure the tax.
-	Dispatch fscript.Dispatch
 	// AdmitWatermark, when > 0, bounds admission: once the engine's
 	// sampled queue depths sum past it, fresh connections are shed with
 	// a 503 and keep-alive responses announce Connection: close until
@@ -147,10 +130,6 @@ type Config struct {
 	// sampling lag, so a reconnect burst in a between-samples window can
 	// overshoot it; the cap bounds that burst.
 	MaxConns int
-	// QueueSample overrides the queue-depth sampling period (default
-	// 5ms with an AdmitWatermark — admission control needs a fresh
-	// signal — else the runtime's 100ms).
-	QueueSample time.Duration
 	// TargetP95, when > 0, puts admission under the SLO controller
 	// instead of a hand-picked bound: served latency is measured on the
 	// Observer plane (completed flows' elapsed time) and every control
@@ -179,17 +158,6 @@ type Config struct {
 	// engine's dispatcher count. Platforms without SO_REUSEPORT fall
 	// back to a single listener and serve identically.
 	ListenShards int
-	// CopyWrites forces the legacy render path — every response
-	// assembled contiguously (fmt-rendered header + body copy) and
-	// written with a single Write — instead of the zero-copy
-	// writev/sendfile path. It exists for the copy-vs-zero-copy
-	// experiment; production configurations leave it false.
-	CopyWrites bool
-	// SendfileFrom is the body size (bytes) from which static responses
-	// stream via sendfile(2) — requires the FileSet to be Materialized;
-	// smaller bodies and unmaterialized corpora use the writev path.
-	// Default 64 KB; negative disables sendfile entirely.
-	SendfileFrom int
 }
 
 // Server is a runnable Flux web server, driven through the same
@@ -219,14 +187,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ScriptWork <= 0 {
 		cfg.ScriptWork = 2000
 	}
-	if cfg.SendfileFrom == 0 {
-		cfg.SendfileFrom = 64 << 10
-	}
 	if cfg.TargetP95 > 0 && cfg.AdmitWatermark <= 0 {
 		cfg.AdmitWatermark = 64 // the controller's starting point, not a tuning decision
-	}
-	if cfg.QueueSample <= 0 && cfg.AdmitWatermark > 0 {
-		cfg.QueueSample = 5 * time.Millisecond
 	}
 
 	astProg, err := parser.Parse("webserver.flux", FluxSource)
@@ -242,7 +204,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("webserver: dynamic templates: %w", err)
 	}
-	pages.SetDispatch(cfg.Dispatch)
 
 	s := &Server{
 		cfg:   cfg,
@@ -279,8 +240,8 @@ func New(cfg Config) (*Server, error) {
 		BindNode("CheckCache", s.checkCache).
 		BindNode("ReadFile", s.readFile).
 		BindNode("StoreInCache", s.storeInCache).
-		BindNode("RunScript", s.runScript).
-		BindNode("HandlePost", s.handlePost).
+		BindNode("RunScript", s.renderPage).
+		BindNode("HandlePost", s.renderPage).
 		BindNode("SendResponse", s.sendResponse).
 		BindNode("Complete", s.complete).
 		BindNode("Discard", s.discard).
@@ -299,7 +260,7 @@ func New(cfg Config) (*Server, error) {
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(cfg.QueueSample),
+		runtime.WithQueueSampleInterval(netkit.SamplePeriod(cfg.AdmitWatermark)),
 		// Admission is external (the connection plane injects every
 		// flow), so the server must outlive its instantly-exhausted
 		// source.
@@ -462,15 +423,15 @@ func (s *Server) checkCache(fl *runtime.Flow, in runtime.Record) (runtime.Record
 	if req.dynamic {
 		return in, nil
 	}
-	if body, ok := s.cache.Get(req.cacheKey); ok {
+	if body, ok := s.cache.Get(req.Path); ok {
 		req.hit = true
-		req.body = body
+		req.body.Bytes = body
 	}
 	return in, nil
 }
 
 // readFile fetches the static file, failing (to FourOhFour) on unknown
-// paths. Large bodies from a materialized corpus are flagged for
+// paths. Large bodies from a materialized corpus are served with
 // sendfile(2) and bypass the response cache — the kernel's page cache
 // already holds them, so caching a user-space copy would only pay the
 // copy tax back.
@@ -480,111 +441,59 @@ func (s *Server) readFile(fl *runtime.Flow, in runtime.Record) (runtime.Record, 
 	if !ok {
 		return nil, fmt.Errorf("webserver: no such file %q", req.Path)
 	}
-	if !s.cfg.CopyWrites && s.cfg.SendfileFrom > 0 && len(body) >= s.cfg.SendfileFrom {
+	if len(body) >= httpkit.SendfileThreshold {
 		if name, size, ok := s.cfg.Files.DiskPath(req.Path); ok {
-			req.fileName, req.fileSize = name, size
+			req.body = httpkit.Body{File: name, Size: size}
 			return in, nil
 		}
 	}
-	req.body = body
+	req.body.Bytes = body
 	return in, nil
 }
 
 // storeInCache publishes the static body (sendfile-served bodies are
-// never cached; their flows carry no body).
+// never cached; their flows carry no bytes).
 func (s *Server) storeInCache(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	req := in[2].(*Request)
-	if req.body != nil {
-		s.cache.Put(req.cacheKey, req.body)
+	if req.body.Bytes != nil {
+		s.cache.Put(req.Path, req.body.Bytes)
 		req.stored = true
 	}
 	return in, nil
 }
 
-// runScript renders a dynamic page through FScript: the CPU-burning
-// work page under /dynamic, the SPECweb99-style ad-rotation page under
-// /adrotate. The page renders into a pooled buffer — compiled-first,
-// so the common case appends straight HTML with no interpreter in the
-// path and no per-request allocation beyond the response itself.
-func (s *Server) runScript(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
+// renderPage runs both dynamic handlers, RunScript and HandlePost: an
+// FScript page (the CPU-burning work page under /dynamic, the
+// SPECweb99-style ad-rotation page under /adrotate) or a form POST's
+// confirmation, rendered into a pooled buffer that SendResponse
+// recycles. Pages run compiled-first, so the common case appends
+// straight HTML with no interpreter in the path and no allocation.
+func (s *Server) renderPage(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	req := in[2].(*Request)
-	buf := fscript.GetBuf()
-	out, err := s.pages.RenderTo(buf.B, req.Path, req.Query, int64(s.cfg.ScriptWork))
-	buf.B = out[:0]
+	body, err := httpkit.RenderDynamic(s.pages, &req.Request, int64(s.cfg.ScriptWork))
 	if err != nil {
-		fscript.PutBuf(buf)
 		return nil, err
 	}
-	req.response = renderResponse(200, "OK", "text/html", out)
-	fscript.PutBuf(buf)
+	req.body = body
 	return in, nil
 }
 
-// handlePost answers a form POST: the SPECweb99 analogue logs the
-// submission server-side and returns a small confirmation page.
-func (s *Server) handlePost(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
-	req := in[2].(*Request)
-	req.response = httpkit.RenderPostConfirm(req.Path, len(req.Body))
-	return in, nil
-}
-
-// sendResponse writes the response to the client. Static bodies take
-// the zero-copy path: the immutable header blob and the cached body go
-// out in one writev(2), and large materialized bodies stream with
-// sendfile(2) — the bytes never assembled into a contiguous response.
-// Rendered responses (dynamic pages, POSTs) and CopyWrites mode keep
-// the single contiguous Write. When this is the connection's last
-// response, Connection: close is announced (baked into the static
-// header variant; copied in on rendered responses) so keep-alive
-// clients reconnect instead of failing. A write deadline popping means
-// a dead or zero-window client: the connection is torn down by the
-// plane-level write path and the shed is counted here.
+// sendResponse writes the response through the shared responder: static
+// bodies go out zero-copy (interned header and cached body in one
+// writev(2), large materialized files with sendfile(2)), rendered pages
+// with a per-response header. On the connection's last response
+// Connection: close is announced so keep-alive clients reconnect
+// instead of failing. A write deadline popping means a dead or
+// zero-window client: the plane tears the connection down and counts
+// the shed, and Cleanup retires the flow.
 func (s *Server) sendResponse(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	c := in[0].(*netkit.Conn)
-	closeAfter := in[1].(bool)
 	req := in[2].(*Request)
-	var err error
-	switch {
-	case req.response != nil:
-		resp := req.response
-		if closeAfter {
-			resp = withCloseHeader(resp)
-		}
-		_, err = c.Write(resp)
-	case req.fileName != "":
-		head := httpkit.StaticHeader(200, "OK", "text/html", int(req.fileSize), closeAfter)
-		var f *os.File
-		if f, err = os.Open(req.fileName); err == nil {
-			err = c.SendFile(head, f, req.fileSize)
-			f.Close()
-		}
-	case req.body != nil:
-		head := httpkit.StaticHeader(200, "OK", "text/html", len(req.body), closeAfter)
-		if s.cfg.CopyWrites {
-			// The experiment's "before" arm: one user-space copy into a
-			// contiguous response, one Write.
-			resp := make([]byte, 0, len(head)+len(req.body))
-			resp = append(append(resp, head...), req.body...)
-			_, err = c.Write(resp)
-		} else {
-			err = c.WriteVec(head, req.body)
-		}
-	default:
-		return nil, errors.New("webserver: no response rendered")
-	}
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.cp.CountShed("write-timeout")
-		}
+	if err := httpkit.Respond(c, 200, "OK", "text/html", req.body, in[1].(bool)); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
-
-// withCloseHeader announces the close on a connection's final response
-// (cached responses stay header-free; httpkit copies).
-func withCloseHeader(resp []byte) []byte { return httpkit.WithCloseHeader(resp) }
 
 // complete releases the cache reference and either closes the connection
 // or re-registers it for the next keep-alive request — through the same
@@ -596,7 +505,7 @@ func (s *Server) complete(fl *runtime.Flow, in runtime.Record) (runtime.Record, 
 	closeAfter := in[1].(bool)
 	req := in[2].(*Request)
 	if req.hit || req.stored {
-		s.cache.Release(req.cacheKey)
+		s.cache.Release(req.Path)
 	}
 	c.Served++
 	if closeAfter {
@@ -621,7 +530,7 @@ func (s *Server) cleanup(fl *runtime.Flow, in runtime.Record) (runtime.Record, e
 	c := in[0].(*netkit.Conn)
 	req := in[2].(*Request)
 	if req.hit || req.stored {
-		s.cache.Release(req.cacheKey)
+		s.cache.Release(req.Path)
 	}
 	c.Close()
 	return nil, nil
@@ -631,13 +540,7 @@ func (s *Server) cleanup(fl *runtime.Flow, in runtime.Record) (runtime.Record, e
 // announced, so a keep-alive client reconnects cleanly).
 func (s *Server) fourOhFour(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	c := in[0].(*netkit.Conn)
-	body := []byte("<html><body><h1>404 Not Found</h1></body></html>")
-	_ = c.WriteVec(httpkit.StaticHeader(404, "Not Found", "text/html", len(body), true), body)
+	_ = httpkit.NotFound(c)
 	c.Close()
 	return nil, nil
-}
-
-// renderResponse builds a complete HTTP/1.1 response.
-func renderResponse(code int, status, ctype string, body []byte) []byte {
-	return httpkit.Render(code, status, ctype, body)
 }

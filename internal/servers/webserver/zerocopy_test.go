@@ -1,13 +1,13 @@
 package webserver
 
-// Tests for the zero-copy static path: writev/sendfile responses must
-// be wire-identical to the legacy copy path, SO_REUSEPORT sharding must
-// serve transparently, and a client that stops draining its socket
-// (write-side slow loris) must be torn down and counted.
+// Tests for the zero-copy static path: sendfile must serve large
+// bodies intact and bypass the cache, SO_REUSEPORT sharding must serve
+// transparently, and a client that stops draining its socket
+// (write-side slow loris) must be torn down and counted. Wire parity
+// with the baselines lives in parity_test.go.
 
 import (
 	"fmt"
-	"io"
 	"net"
 	goruntime "runtime"
 	"testing"
@@ -17,41 +17,6 @@ import (
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/telemetry"
 )
-
-// rawGet fetches one URL and returns the entire raw byte stream the
-// server produced, status line and headers included.
-func rawGet(t *testing.T, addr, path string) []byte {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", path)
-	out, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	return out
-}
-
-// TestZeroCopyWireParity: the writev path and the legacy contiguous
-// path must produce byte-identical responses — headers, framing, body.
-func TestZeroCopyWireParity(t *testing.T) {
-	files := loadgen.NewFileSet(1)
-	_, zcAddr, zcStop := startServer(t, Config{Files: files, Engine: runtime.ThreadPerFlow})
-	defer zcStop()
-	_, cpAddr, cpStop := startServer(t, Config{Files: files, Engine: runtime.ThreadPerFlow, CopyWrites: true})
-	defer cpStop()
-
-	for _, path := range []string{files.Path(0, 0, 1), files.Path(0, 2, 9), "/no/such/file"} {
-		zc := rawGet(t, zcAddr, path)
-		cp := rawGet(t, cpAddr, path)
-		if string(zc) != string(cp) {
-			t.Errorf("%s: zero-copy response (%d bytes) differs from copy response (%d bytes)", path, len(zc), len(cp))
-		}
-	}
-}
 
 // TestSendfileServesLargeBody: with the corpus materialized, a class-3
 // body crosses the sendfile threshold and must still arrive
