@@ -54,15 +54,22 @@ func (fp *FluxPlane) AdmitDialed(nc net.Conn) error {
 	return fp.plane.AdoptAndAdmit(nc)
 }
 
-// Reinject re-admits a live connection: keep-alive re-registration
-// through the same Inject path fresh accepts take. A refusal (the
-// server is draining) drops the connection through the plane, which
-// counts and reports it.
-func (fp *FluxPlane) Reinject(c *Conn) {
-	if err := fp.src.Inject(runtime.Record{c}); err != nil {
+// Continue re-admits a live connection from inside fl, the flow that
+// just answered on it: keep-alive re-registration. Where the runtime
+// can (runtime.SourceHandle.Continue), the next request is read on the
+// goroutine already running; otherwise — and always with a nil fl — it
+// takes the Inject path fresh accepts take. A refusal (the server is
+// draining) drops the connection through the plane, which counts and
+// reports it.
+func (fp *FluxPlane) Continue(fl *runtime.Flow, c *Conn) {
+	if err := fp.src.Continue(fl, runtime.Record{c}); err != nil {
 		fp.plane.DropConn(c, "closed")
 	}
 }
+
+// Reinject re-admits a live connection from outside any flow: Continue
+// with no flow to continue on.
+func (fp *FluxPlane) Reinject(c *Conn) { fp.Continue(nil, c) }
 
 // Addr returns the bound listen address.
 func (fp *FluxPlane) Addr() string { return fp.plane.Addr() }

@@ -391,6 +391,65 @@ func BenchmarkBlockingHop(b *testing.B) {
 	}
 }
 
+// BenchmarkKeepAliveContinue measures a keep-alive conversation's
+// per-request runtime cost: a one-node flow whose node blocks (as the
+// web server's ReadRequest does) and, at its end, re-admits the next
+// request through SourceHandle.Continue. The thread, pool and steal
+// engines run the successor on the goroutine already running; the event
+// engine's flows end on its dispatcher, so each link is an Inject plus
+// the offload round trip. Gated by CI at 0 allocs/op.
+func BenchmarkKeepAliveContinue(b *testing.B) {
+	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven, WorkStealing} {
+		b.Run(kind.String(), func(b *testing.B) {
+			p := compileBench(b, `
+Gen () => (int v);
+Serve (int v) => ();
+source Gen => F;
+F = Serve;
+`)
+			var h *SourceHandle
+			var served atomic.Int64
+			done := make(chan struct{})
+			rec := Record{1}
+			bnd := NewBindings().
+				BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
+				BindNode("Serve", func(fl *Flow, in Record) (Record, error) {
+					if served.Add(1) == int64(b.N) {
+						close(done)
+					} else if err := h.Continue(fl, rec); err != nil {
+						b.Errorf("Continue: %v", err)
+					}
+					return nil, nil
+				}).
+				MarkBlocking("Serve")
+			s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
+				SourceTimeout: time.Millisecond, KeepAlive: true})
+			if err != nil {
+				b.Fatalf("NewServer: %v", err)
+			}
+			if h, err = s.Source("Gen"); err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			if err := s.Start(ctx); err != nil {
+				b.Fatalf("Start: %v", err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := h.Inject(rec); err != nil {
+				b.Fatalf("Inject: %v", err)
+			}
+			<-done
+			b.StopTimer()
+			cancel()
+			_ = s.Wait()
+			if got := s.Stats().Snapshot().Completed; got != uint64(b.N) {
+				b.Fatalf("completed = %d, want %d", got, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkDequeOwnerPop measures the steal deque's owner end: the
 // one-mutex-trip-per-event baseline against the owner-side batch pop
 // that amortizes the mutex across stealBatch events (the ROADMAP

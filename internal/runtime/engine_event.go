@@ -41,7 +41,7 @@ type eventKind int
 const (
 	evSource eventKind = iota // poll a source for the next record
 	evStep                    // resume a flow at a vertex
-	evResult                  // apply the result of an offloaded node
+	evResult                  // apply the result of an offloaded node (event engine)
 	evNudge                   // wake a dispatcher to re-check termination
 )
 
@@ -61,7 +61,9 @@ type event struct {
 	// set across parked-grant resumptions.
 	acquired int
 
-	// out and err carry an offloaded node's results.
+	// out and err carry an offloaded node's results back to the event
+	// engine's dispatcher (the steal engine's workers carry flows on
+	// instead).
 	out Record
 	err error
 }

@@ -81,6 +81,7 @@ func (e *poolEngine) worker(workers *sync.WaitGroup) {
 	// Hoisted: the steady-state loop must not chase engine fields.
 	s, queue, ctx := e.s, e.queue, e.ctx
 	buf := make([]pooledFlow, poolBatch)
+	car := new(carrier)
 	for {
 		n, ok := queue.popBatch(buf)
 		if !ok {
@@ -91,9 +92,21 @@ func (e *poolEngine) worker(workers *sync.WaitGroup) {
 			buf[i] = pooledFlow{} // release the record for GC
 			fl := s.newFlow(ctx, pf.st.sessionOf(pf.rec))
 			fl.recBox = pf.box
-			s.runFlow(fl, pf.st.tbl, pf.rec)
+			// Only the batch's last flow may hand this worker a successor:
+			// one run ahead of unrun batch items would strand them.
+			if i == n-1 {
+				fl.car = car
+			}
+			s.runCarried(ctx, car, fl, pf.st.tbl, pf.rec)
 		}
 	}
+}
+
+// carry runs a flow's successor on its own worker unless admissions are
+// queued, which run first: a keep-alive conversation cannot starve fresh
+// ones.
+func (e *poolEngine) carry(fl *Flow, st *sourceState, rec Record) bool {
+	return e.ctx.Err() == nil && e.queue.idle() && fl.car.hold(st, rec)
 }
 
 func (e *poolEngine) sourceLoop(sources *sync.WaitGroup, st *sourceState) {

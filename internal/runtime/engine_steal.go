@@ -31,10 +31,23 @@ import (
 //     queue (external Submit admissions and any work without a home),
 //     then steals the oldest half of a random victim's deque — oldest
 //     first, so migrated work preserves rough admission order;
-//   - lock grants resume the waiter on the *releasing* flow's dispatcher
-//     (the lock handoff already moved the protected state to that core),
-//     via the lock manager's intrusive waiter nodes — no closures, no
-//     global queue trip;
+//   - a flow stays on the goroutine that unblocked it until it must wait
+//     again: a dispatcher offloads a blocking node to the shared async
+//     pool, and the offload worker that ran it carries the flow on —
+//     further nodes, blocking or not, inline, to its terminal or its next
+//     contended constraint — instead of handing the result back to a
+//     dispatcher that has nothing left to run (each hand-back was a
+//     goready plus a wakep futex wake). A successor the flow re-admits
+//     through SourceHandle.Continue (the next keep-alive request) runs
+//     next on the same worker, unless work waits in the async queue;
+//   - lock grants resume the waiter on the *releasing* flow's last
+//     dispatcher (the lock handoff already moved the protected state to
+//     that core), via the lock manager's intrusive waiter nodes — no
+//     closures, no global queue trip. Offload workers take constraints
+//     with the same fair try-then-park protocol and never block in
+//     acquire: a flow holding the constraint can sit in the async queue
+//     waiting for a worker, so workers blocked on it would deadlock the
+//     pool;
 //   - idle dispatchers park on a per-dispatcher token channel. The
 //     parking protocol is announce-then-verify: a dispatcher publishes
 //     its parked flag, then re-scans every queue before sleeping, while
@@ -42,9 +55,8 @@ import (
 //     side loses the race still observes the other's write, so no wakeup
 //     is missed and Drain cannot deadlock on a sleeping core.
 //
-// Run-to-block dispatch, the async-I/O offload pool, the poll-shortening
-// wake signal, and the zero-allocation flow path carry over from the
-// event engine unchanged.
+// Run-to-block dispatch, the poll-shortening wake signal, and the
+// zero-allocation flow path carry over from the event engine unchanged.
 
 // stealBatch is how many injection-queue events an idle dispatcher
 // claims per mutex round trip.
@@ -208,14 +220,15 @@ func (e *stealEngine) Drain(ctx context.Context) error {
 }
 
 // maybeFinish begins shutdown once no source is live and no flow is in
-// flight: evSource events hold sources > 0 until retired and
-// evStep/evResult events hold inflight > 0, so no settled work can be
-// stranded by closing. A Submit can still race the close — its flow
-// accepted by the injection queue an instant after the counters read
-// zero — which is why dispatchers keep draining after closed flips
-// (nextClosing) and why the wake fan-out below runs on every quiescence
-// observation, not just the closing one: the dispatcher that retires
-// such a straggler re-wakes the others so they can re-check and exit.
+// flight: evSource events hold sources > 0 until retired and evStep
+// events — and flows running on offload workers — hold inflight > 0,
+// so no settled work can be stranded by closing. A Submit can still
+// race the close — its flow accepted by the injection queue an instant
+// after the counters read zero — which is why dispatchers keep draining
+// after closed flips (nextClosing) and why the wake fan-out below runs
+// on every quiescence observation, not just the closing one: the
+// dispatcher that retires such a straggler re-wakes the others so they
+// can re-check and exit.
 func (e *stealEngine) maybeFinish() {
 	if e.sources.Load() != 0 || e.inflight.Load() != 0 {
 		return
@@ -232,11 +245,12 @@ func (e *stealEngine) maybeFinish() {
 // nextClosing is the dispatcher loop's tail once the engine has closed:
 // drain any straggler events — a Submit that won its race against the
 // close has its flow sitting in the injection queue (fifo pendings
-// survive close), and its async completions land on deques — and exit
-// only when no flow is left in flight. Parking here needs no flag
-// protocol: async completions signal the owning dispatcher's buffered
-// wake token directly, and maybeFinish wakes everyone whenever the
-// engine is observed quiescent.
+// survive close), and its lock grants land on deques — and exit only
+// when no flow is left in flight. Parking here needs no flag protocol:
+// deque pushes signal the owning dispatcher's buffered wake token
+// directly, and maybeFinish (which offload workers also call when they
+// retire a flow) wakes everyone whenever the engine is observed
+// quiescent.
 func (d *stealDispatcher) nextClosing(buf []event) (event, bool) {
 	e := d.e
 	for {
@@ -326,7 +340,7 @@ func (e *stealEngine) pushTo(d *stealDispatcher, ev event) {
 // mutex round trip per stealBatch events instead of one per event. The
 // buffer is termination-check-safe by the event engine's argument:
 // every buffered event except a nudge holds sources > 0 (evSource) or
-// inflight > 0 (evStep/evResult), so maybeFinish cannot observe
+// inflight > 0 (evStep), so maybeFinish cannot observe
 // quiescence while events sit in a dispatcher's buffer. Buffered events
 // are invisible to thieves, but a batch is at most stealBatch long —
 // the same bound the event engine accepts.
@@ -512,7 +526,9 @@ func (d *stealDispatcher) steal() (event, bool) {
 
 // handle runs one event. The flow's dispatcher affinity is updated
 // first: lock releases performed while it runs resume their waiters
-// onto this dispatcher's deque. morePending reports events still
+// onto this dispatcher's deque. A step may be a lock grant for a flow
+// that parked on an offload worker, so its next-flow slot is dropped: a
+// dispatcher cannot carry a successor. morePending reports events still
 // buffered by this dispatcher's owner batch, which count as ready work
 // for source poll-shortening.
 func (d *stealDispatcher) handle(ev event, morePending bool) {
@@ -520,12 +536,8 @@ func (d *stealDispatcher) handle(ev event, morePending bool) {
 	case evSource:
 		d.handleSource(ev, morePending)
 	case evStep:
-		ev.fl.disp = d
-		d.run(ev.fl, ev.tbl, ev.v, ev.rec, ev.acquired)
-	case evResult:
-		ev.fl.disp = d
-		r := d.e.s.afterExec(ev.fl, ev.v, ev.rec, ev.out, ev.err)
-		d.run(ev.fl, ev.tbl, r.next, r.rec, 0)
+		ev.fl.disp, ev.fl.car = d, nil
+		d.e.run(ev.fl, ev.tbl, ev.v, ev.rec, ev.acquired, false)
 	case evNudge:
 		// No work; exists to force the termination check in loop.
 	}
@@ -585,7 +597,7 @@ func (d *stealDispatcher) handleSource(ev event, morePending bool) {
 		// this core runs the flow.
 		d.dq.pushTop(ev)
 		e.wakeOneParked()
-		d.run(flow, ev.st.tbl, ev.st.tbl.g.Entry, rec, 0)
+		e.run(flow, ev.st.tbl, ev.st.tbl.g.Entry, rec, 0, false)
 	case errors.Is(err, ErrNoData):
 		ev.fl.releaseRecord() // a drawn-but-unused record goes back now
 		// Guard against sources that return early instead of waiting out
@@ -622,17 +634,16 @@ func (d *stealDispatcher) sleepWakeable(dur time.Duration) {
 }
 
 // run executes consecutive vertices of one flow inline — run-to-block —
-// identical in structure to the event engine's dispatch, with blocking
-// nodes offloaded to the shared async pool and contended constraints
-// parked through the flow's intrusive waiter node.
-func (d *stealDispatcher) run(fl *Flow, tbl *graphTable, v *core.FlatNode, rec Record, acquired int) {
-	e := d.e
+// identical in structure to the event engine's dispatch. On a dispatcher
+// a blocking node offloads the flow to the shared async pool; on an
+// offload worker (onWorker) it runs inline. Everywhere, contended
+// constraints park the flow through its intrusive waiter node.
+func (e *stealEngine) run(fl *Flow, tbl *graphTable, v *core.FlatNode, rec Record, acquired int, onWorker bool) {
 	s := e.s
 	for {
 		switch v.Kind {
 		case core.FlatExec:
-			info := &tbl.info[v.ID]
-			if info.blocking {
+			if !onWorker && tbl.info[v.ID].blocking {
 				e.asyncq.push(event{kind: evStep, fl: fl, tbl: tbl, v: v, rec: rec})
 				return
 			}
@@ -681,10 +692,10 @@ func (d *stealDispatcher) run(fl *Flow, tbl *graphTable, v *core.FlatNode, rec R
 	}
 }
 
-// resumeGranted lands a lock-granted continuation on the resuming
-// dispatcher's deque — the one whose release performed the handoff, so
-// the protected state is already in its cache — falling back to the
-// injection queue for grants triggered off-dispatcher.
+// resumeGranted lands a lock-granted continuation on the deque of the
+// releasing flow's last dispatcher — the core the protected state most
+// recently passed through — falling back to the injection queue for
+// flows that never ran on a dispatcher.
 func (e *stealEngine) resumeGranted(n *lockWaiterNode, by *Flow) {
 	ev := event{kind: evStep, fl: n.fl, tbl: n.tbl, v: n.v, rec: n.rec, acquired: n.acquired}
 	n.rec = nil // the event owns the record now; drop the node's pin
@@ -704,21 +715,46 @@ func (e *stealEngine) resumeGranted(n *lockWaiterNode, by *Flow) {
 	e.pushTo(e.disp[0], ev)
 }
 
-// asyncWorker runs offloaded blocking nodes and re-queues their results
-// on the owning flow's last dispatcher, preserving locality.
+// asyncWorker runs an offloaded blocking node and carries its flow on
+// from there to the flow's terminal or its next contended constraint.
+// Successors the flow hands over through SourceHandle.Continue run next
+// on this worker, inheriting the flow's last dispatcher for lock-grant
+// locality. The worker retires flows itself, so it re-checks
+// termination after each offload.
 func (e *stealEngine) asyncWorker() {
+	s := e.s
+	car := new(carrier)
 	for {
 		ev, ok := e.asyncq.pop()
 		if !ok {
 			return
 		}
-		out, err := e.s.callNode(ev.fl, ev.tbl, ev.v, ev.rec)
-		ev.kind = evResult
-		ev.out, ev.err = out, err
-		if d := ev.fl.disp; d != nil {
-			e.pushTo(d, ev)
-		} else {
-			e.pushTo(e.disp[0], ev)
+		last := ev.fl.disp
+		ev.fl.car = car
+		e.run(ev.fl, ev.tbl, ev.v, ev.rec, 0, true)
+		for st, rec := car.take(); st != nil; st, rec = car.take() {
+			fl := s.newFlow(e.ctx, st.sessionOf(rec))
+			fl.SourceTimeout = s.cfg.SourceTimeout
+			fl.disp, fl.car = last, car
+			e.run(fl, st.tbl, st.tbl.g.Entry, rec, 0, true)
 		}
+		e.maybeFinish()
 	}
+}
+
+// carry runs a flow's successor on the offload worker running the flow
+// unless blocking work already waits in the async queue. Like Submit it
+// refuses after cancellation; the successor holds inflight > 0 from
+// here, before its predecessor retires.
+func (e *stealEngine) carry(fl *Flow, st *sourceState, rec Record) bool {
+	select {
+	case <-e.ctxDone:
+		return false
+	default:
+	}
+	if e.asyncq.len() != 0 || !fl.car.hold(st, rec) {
+		return false
+	}
+	e.inflight.Add(1)
+	return true
 }

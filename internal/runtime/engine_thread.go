@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // threadEngine implements the one-to-one thread server (§3.2.1): every
@@ -17,11 +18,12 @@ type threadEngine struct {
 	// flows tracks in-flight flow goroutines. Source loops Add before
 	// their own WaitGroup entry resolves, so those Adds are ordered
 	// before the monitor's Wait; Submit's Adds are ordered by admitMu
-	// against the monitor setting draining.
+	// against the monitor setting draining. A successor carried on a
+	// flow's goroutine needs no Add: that goroutine is still counted.
 	flows sync.WaitGroup
 
 	admitMu  sync.Mutex
-	draining bool
+	draining atomic.Bool
 
 	done chan struct{}
 }
@@ -49,7 +51,7 @@ func (e *threadEngine) Start(ctx context.Context) error {
 	go func() {
 		sources.Wait()
 		e.admitMu.Lock()
-		e.draining = true
+		e.draining.Store(true)
 		e.admitMu.Unlock()
 		e.flows.Wait()
 		close(e.done)
@@ -57,11 +59,26 @@ func (e *threadEngine) Start(ctx context.Context) error {
 	return nil
 }
 
+// carrierPool recycles the per-goroutine next-flow slots: a goroutine
+// lives for one conversation, and a fresh slot per spawn would be an
+// allocation per flow.
+var carrierPool = sync.Pool{New: func() any { return new(carrier) }}
+
 // runOne is hoisted so spawning a flow copies plain arguments instead of
-// allocating a fresh closure per request.
+// allocating a fresh closure per request. The goroutine then runs every
+// successor its flows hand over (SourceHandle.Continue).
 func (e *threadEngine) runOne(fl *Flow, tbl *graphTable, rec Record) {
 	defer e.flows.Done()
-	e.s.runFlow(fl, tbl, rec)
+	car := carrierPool.Get().(*carrier)
+	fl.car = car
+	e.s.runCarried(e.ctx, car, fl, tbl, rec)
+	carrierPool.Put(car)
+}
+
+// carry runs a flow's successor on the flow's own goroutine, refusing
+// exactly when Submit would.
+func (e *threadEngine) carry(fl *Flow, st *sourceState, rec Record) bool {
+	return e.ctx.Err() == nil && !e.draining.Load() && fl.car.hold(st, rec)
 }
 
 func (e *threadEngine) sourceLoop(sources *sync.WaitGroup, st *sourceState) {
@@ -115,7 +132,7 @@ func (e *threadEngine) Submit(fl *Flow, rec Record) error {
 		return ErrServerClosed
 	}
 	e.admitMu.Lock()
-	if e.draining {
+	if e.draining.Load() {
 		e.admitMu.Unlock()
 		e.s.freeFlow(fl)
 		return ErrServerClosed

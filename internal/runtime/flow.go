@@ -54,10 +54,18 @@ type Flow struct {
 	// reuses this node instead of allocating a continuation closure.
 	lw lockWaiterNode
 
-	// disp is the work-stealing dispatcher currently running the flow;
-	// lock grants triggered by this flow's releases resume waiters onto
-	// that dispatcher's local deque. Nil on every other engine.
+	// disp is the last work-stealing dispatcher that ran the flow; lock
+	// grants triggered by this flow's releases — on that dispatcher or
+	// later on an offload worker — resume waiters onto its local deque.
+	// Nil on every other engine.
 	disp *stealDispatcher
+
+	// car is the next-flow slot of the goroutine running the flow when
+	// that goroutine may block (a pool worker, a thread-per-flow
+	// goroutine, a work-stealing offload worker); SourceHandle.Continue
+	// hands the flow's successor to it. Nil while the flow runs on a
+	// dispatcher.
+	car *carrier
 
 	// recBox holds the flow's pooled source record, if the source drew
 	// one with NewRecord; it returns to the source's pool when the flow
@@ -121,6 +129,32 @@ func (fl *Flow) releaseRecord() {
 		clear(b.buf)
 		b.pool.Put(b)
 	}
+}
+
+// carrier is the next-flow slot of one goroutine that may block. It is
+// allocated once per goroutine (thread-per-flow goroutines draw theirs
+// from a pool), so handing a successor over costs two stores and no
+// allocation.
+type carrier struct {
+	st  *sourceState
+	rec Record
+}
+
+// hold parks rec as the goroutine's next flow, reporting false when a
+// successor is already parked.
+func (c *carrier) hold(st *sourceState, rec Record) bool {
+	if c.st != nil {
+		return false
+	}
+	c.st, c.rec = st, rec
+	return true
+}
+
+// take removes the parked successor; st is nil when there is none.
+func (c *carrier) take() (st *sourceState, rec Record) {
+	st, rec = c.st, c.rec
+	c.st, c.rec = nil, nil
+	return st, rec
 }
 
 // PathID returns the current Ball-Larus path register value.

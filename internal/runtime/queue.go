@@ -185,6 +185,14 @@ func (q *fifo[T]) tryPop() (v T, ok bool) {
 	return q.popOneLocked(), true
 }
 
+// idle reports whether the queue is open and empty: an offer now would
+// be accepted with nothing queued ahead of it.
+func (q *fifo[T]) idle() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.size == 0 && !q.closed
+}
+
 // len reports the current queue length.
 func (q *fifo[T]) len() int {
 	q.mu.Lock()

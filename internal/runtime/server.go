@@ -215,6 +215,7 @@ type Server struct {
 type liveEngine struct {
 	eng Engine
 	rs  recordSubmitter // non-nil when eng defers flow construction
+	fc  flowCarrier     // non-nil when eng runs successors inline (Continue)
 	ctx context.Context
 }
 
@@ -353,6 +354,7 @@ func (s *Server) Start(ctx context.Context) error {
 	s.cancel = cancel
 	le := &liveEngine{eng: eng, ctx: runCtx}
 	le.rs, _ = eng.(recordSubmitter)
+	le.fc, _ = eng.(flowCarrier)
 	s.live.Store(le)
 	s.done = make(chan struct{})
 	done := s.done
@@ -451,6 +453,34 @@ func (h *SourceHandle) Inject(rec Record) error {
 	return h.s.injectRecord(h.st, rec)
 }
 
+// Continue re-admits rec on the handle's source from inside fl, the
+// running flow whose node is calling — keep-alive re-registration from a
+// conversation's last node. When fl runs on a goroutine that may block
+// (a pool worker, a thread-per-flow goroutine, a work-stealing offload
+// worker) and no admitted work waits ahead of it, rec becomes that
+// goroutine's next flow, run once fl retires: no queue trip and no
+// wake. Otherwise — fl nil or on a dispatcher, a backlog queued, the
+// server draining — it is exactly Inject, and either way it counts one
+// Started flow or returns Inject's error.
+func (h *SourceHandle) Continue(fl *Flow, rec Record) error {
+	if fl != nil && fl.car != nil && fl.srv == h.s {
+		if h.s.live.Load().fc.carry(fl, h.st, rec) {
+			h.s.stats.Started.Add(1)
+			return nil
+		}
+	}
+	return h.s.injectRecord(h.st, rec)
+}
+
+// flowCarrier is implemented by engines whose blocking-capable
+// goroutines run a flow's successor inline. carry hands rec to the
+// goroutine behind fl.car and reports whether it did; it refuses after
+// cancellation, while admitted work waits in the engine's queue (FIFO
+// fairness under backlog), and when a successor is already parked.
+type flowCarrier interface {
+	carry(fl *Flow, st *sourceState, rec Record) bool
+}
+
 // injectRecord is the engine-facing admission path shared by Inject and
 // SourceHandle.Inject.
 func (s *Server) injectRecord(st *sourceState, rec Record) error {
@@ -521,6 +551,7 @@ func (s *Server) freeFlow(fl *Flow) {
 	fl.srv = nil
 	fl.src = nil
 	fl.disp = nil
+	fl.car = nil
 	// The embedded waiter node is dirty only if the flow ever parked on
 	// a contended constraint; most flows never do, so test one field
 	// instead of unconditionally zeroing the whole node.
@@ -675,5 +706,21 @@ func (s *Server) runFlow(fl *Flow, tbl *graphTable, rec Record) {
 			s.freeFlow(fl)
 			return
 		}
+	}
+}
+
+// runCarried runs fl with runFlow, then every successor handed to car
+// (SourceHandle.Continue), each on the calling goroutine. fl.car is set
+// by the caller, which may leave it nil to keep fl from handing one over.
+func (s *Server) runCarried(ctx context.Context, car *carrier, fl *Flow, tbl *graphTable, rec Record) {
+	for {
+		s.runFlow(fl, tbl, rec)
+		st, next := car.take()
+		if st == nil {
+			return
+		}
+		fl = s.newFlow(ctx, st.sessionOf(next))
+		fl.car = car
+		tbl, rec = st.tbl, next
 	}
 }

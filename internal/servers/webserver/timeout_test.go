@@ -134,6 +134,42 @@ func TestKeepAliveIdleTimeout(t *testing.T) {
 	waitShed(t, tel, "timeout")
 }
 
+// TestHeaderDeadlineEndsWithItsRead: a header deadline and no idle
+// deadline. Deadlines are re-armed before each read, never cleared after
+// one, so the fresh connection's header deadline must not survive into
+// the idle wait for the second request.
+func TestHeaderDeadlineEndsWithItsRead(t *testing.T) {
+	files := loadgen.NewFileSet(1)
+	tel := telemetry.New()
+	_, addr, stop := startServer(t, Config{
+		Files:         files,
+		Engine:        runtime.ThreadPool,
+		HeaderTimeout: 100 * time.Millisecond,
+		Telemetry:     tel,
+	})
+	defer stop()
+
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			time.Sleep(250 * time.Millisecond) // idle past the header deadline
+		}
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n\r\n", files.Path(0, 0, 1))
+		status, srvClose, _, err := readFullResponse(br)
+		if err != nil || status != 200 || srvClose {
+			t.Fatalf("request %d: status %d close %v err %v", i, status, srvClose, err)
+		}
+	}
+	if n := shedCount(tel, "timeout"); n != 0 {
+		t.Errorf("%d timeout sheds on a conversation within its deadlines", n)
+	}
+}
+
 // TestAdaptiveControllerWiring boots the server with a TargetP95 and
 // verifies the control loop is actually closed: a gate exists at the
 // default starting watermark, the plane's conn cap tracks 2× it, the

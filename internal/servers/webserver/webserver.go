@@ -390,13 +390,18 @@ func (s *Server) readRequest(fl *runtime.Flow, in runtime.Record) (runtime.Recor
 	// deliver its request head, a keep-alive conversation IdleTimeout to
 	// produce its next request. Either deadline popping is the server's
 	// decision, not the client's failure — counted as a shed before the
-	// error route (Discard) closes the connection.
+	// error route (Discard) closes the connection. Nothing else reads the
+	// connection and every read re-arms its deadline here, so none is
+	// cleared after a parse; only a header deadline with no idle
+	// deadline to replace it is cleared, before the second read.
 	limit := s.cfg.HeaderTimeout
 	if c.Served > 0 {
 		limit = s.cfg.IdleTimeout
 	}
 	if limit > 0 {
 		_ = c.SetReadDeadline(time.Now().Add(limit))
+	} else if c.Served == 1 && s.cfg.HeaderTimeout > 0 {
+		_ = c.SetReadDeadline(time.Time{})
 	}
 	req, err := ParseRequest(c.Reader())
 	if err != nil {
@@ -405,9 +410,6 @@ func (s *Server) readRequest(fl *runtime.Flow, in runtime.Record) (runtime.Recor
 			s.cp.CountShed("timeout")
 		}
 		return nil, err // EOF, reset, timeout, or malformed: handled by Discard
-	}
-	if limit > 0 {
-		_ = c.SetReadDeadline(time.Time{})
 	}
 	closeAfter := !req.KeepAlive || c.Served+1 >= s.cfg.MaxKeepAlive || s.cp.Overloaded()
 	return runtime.Record{c, closeAfter, req}, nil
@@ -496,10 +498,11 @@ func (s *Server) sendResponse(fl *runtime.Flow, in runtime.Record) (runtime.Reco
 }
 
 // complete releases the cache reference and either closes the connection
-// or re-registers it for the next keep-alive request — through the same
-// Inject path fresh connections take, so external admission is the one
-// and only way into the graph. A refused re-registration (the server is
-// draining) drops the connection through the plane, which counts it.
+// or re-registers it for the next keep-alive request — as a new flow on
+// the Listen source's graph, run next on this goroutine when the engine
+// can (FluxPlane.Continue) and injected like a fresh connection
+// otherwise. A refused re-registration (the server is draining) drops
+// the connection through the plane, which counts it.
 func (s *Server) complete(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	c := in[0].(*netkit.Conn)
 	closeAfter := in[1].(bool)
@@ -512,7 +515,7 @@ func (s *Server) complete(fl *runtime.Flow, in runtime.Record) (runtime.Record, 
 		c.Close()
 		return nil, nil
 	}
-	s.cp.Reinject(c)
+	s.cp.Continue(fl, c)
 	return nil, nil
 }
 
