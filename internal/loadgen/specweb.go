@@ -12,23 +12,27 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FileSet is the synthetic static corpus of the SPECweb99-like benchmark:
 // directories each holding four classes of files (nine files per class),
 // with class sizes spanning 100 B to 900 KB. Contents are deterministic
-// so repeated runs and concurrent clients agree. The whole set lives in
-// memory, matching the paper's note that the working set fits in RAM and
-// the benchmark primarily stresses CPU.
+// so repeated runs and concurrent clients agree. A body becomes resident
+// the first time Lookup asks for it and then stays, matching the paper's
+// note that the working set fits in RAM and the benchmark primarily
+// stresses CPU; a materialized corpus (see Materialize) is written to
+// disk without becoming resident, so files served with sendfile(2) never
+// enter memory at all.
 type FileSet struct {
 	Dirs int
 
-	mu    sync.Mutex
-	cache map[string][]byte
-	// diskDir, when non-empty, is the materialized on-disk mirror of the
-	// corpus (see Materialize): the sendfile(2) serving path reads large
-	// bodies from these files instead of user-space memory.
-	diskDir string
+	mu     sync.Mutex
+	bodies [][]byte // by file index; nil until Lookup asks for it
+	// names, once Materialize has run, are the on-disk files by file
+	// index: the sendfile(2) serving path streams large bodies from them
+	// instead of user-space memory.
+	names atomic.Pointer[[]string]
 }
 
 // SPECweb99's four file classes: probability of selection and base size.
@@ -43,6 +47,11 @@ var classes = [4]struct {
 	{0.01, 100000},
 }
 
+// filesPerDir is the corpus's file count per directory: four classes of
+// nine files. File index i names dir i/filesPerDir, class i/9%4, file
+// i%9+1.
+const filesPerDir = 4 * 9
+
 // NewFileSet builds a corpus with the given directory count. Each
 // directory holds ~5 MB, so 6 directories approximate the paper's ~32 MB
 // working set; tests use fewer.
@@ -50,7 +59,7 @@ func NewFileSet(dirs int) *FileSet {
 	if dirs <= 0 {
 		dirs = 1
 	}
-	return &FileSet{Dirs: dirs, cache: make(map[string][]byte)}
+	return &FileSet{Dirs: dirs, bodies: make([][]byte, dirs*filesPerDir)}
 }
 
 // Path renders the canonical URL path for (dir, class, file).
@@ -64,72 +73,98 @@ func (fs *FileSet) Size(class, file int) int {
 	return classes[class].Base * file
 }
 
-// Lookup fetches a file's contents by path, or false for paths outside
-// the corpus.
-func (fs *FileSet) Lookup(path string) ([]byte, bool) {
-	var dir, class, file int
-	if _, err := fmt.Sscanf(path, "/dir%d/class%d_%d.html", &dir, &class, &file); err != nil {
-		return nil, false
+// indexSize returns the byte size of the file at index i.
+func (fs *FileSet) indexSize(i int) int {
+	return fs.Size(i/9%4, i%9+1)
+}
+
+// index maps a URL path to its file index. It accepts exactly the
+// rendering of Path for an in-range (dir, class, file) — no sign, no
+// leading zero, no trailing byte — so every corpus file has one name and
+// anything else is outside the corpus.
+func (fs *FileSet) index(path string) (int, bool) {
+	rest, ok := strings.CutPrefix(path, "/dir")
+	if !ok {
+		return 0, false
 	}
-	if dir < 0 || dir >= fs.Dirs || class < 0 || class > 3 || file < 1 || file > 9 {
+	n, dir := 0, 0
+	for ; n < len(rest) && '0' <= rest[n] && rest[n] <= '9'; n++ {
+		dir = dir*10 + int(rest[n]-'0')
+		if dir >= fs.Dirs {
+			return 0, false // also stops the digits before they overflow
+		}
+	}
+	if n == 0 || (n > 1 && rest[0] == '0') {
+		return 0, false
+	}
+	// What is left must be exactly "/classC_F.html".
+	tail := rest[n:]
+	if len(tail) != len("/class0_1.html") || tail[:6] != "/class" || tail[7] != '_' || tail[9:] != ".html" {
+		return 0, false
+	}
+	class, file := tail[6], tail[8]
+	if class < '0' || class > '3' || file < '1' || file > '9' {
+		return 0, false
+	}
+	return dir*filesPerDir + int(class-'0')*9 + int(file-'1'), true
+}
+
+// Lookup fetches a file's contents by path, or false for paths outside
+// the corpus. The body is synthesized on the first Lookup and kept.
+func (fs *FileSet) Lookup(path string) ([]byte, bool) {
+	i, ok := fs.index(path)
+	if !ok {
 		return nil, false
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if data, ok := fs.cache[path]; ok {
-		return data, true
+	if fs.bodies[i] == nil {
+		fs.bodies[i] = synthesize(make([]byte, fs.indexSize(i)), path)
 	}
-	data := synthesize(path, fs.Size(class, file))
-	fs.cache[path] = data
-	return data, true
+	return fs.bodies[i], true
 }
 
 // Materialize writes the whole corpus to dir — one flat file per URL
 // path, deterministic contents identical to Lookup's — so servers can
 // stream large static bodies with sendfile(2) instead of copying them
-// through user space. Idempotent per FileSet; safe to call before
-// handing the set to servers and load generators (their in-memory
-// Lookup view is unchanged).
+// through user space. No body becomes resident: each file is synthesized
+// into one reused buffer and written out. Idempotent per FileSet; safe
+// to call before handing the set to servers and load generators (their
+// in-memory Lookup view is unchanged).
 func (fs *FileSet) Materialize(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for d := 0; d < fs.Dirs; d++ {
-		for c := 0; c < 4; c++ {
-			for f := 1; f <= 9; f++ {
-				urlPath := fs.Path(d, c, f)
-				body, _ := fs.Lookup(urlPath)
-				if err := os.WriteFile(filepath.Join(dir, diskName(urlPath)), body, 0o644); err != nil {
-					return err
-				}
-			}
+	names := make([]string, len(fs.bodies))
+	buf := make([]byte, classes[3].Base*9)
+	for i := range names {
+		urlPath := fs.Path(i/filesPerDir, i/9%4, i%9+1)
+		names[i] = filepath.Join(dir, diskName(urlPath))
+		body := synthesize(buf[:fs.indexSize(i)], urlPath)
+		if err := os.WriteFile(names[i], body, 0o644); err != nil {
+			return err
 		}
 	}
-	fs.mu.Lock()
-	fs.diskDir = dir
-	fs.mu.Unlock()
+	fs.names.Store(&names)
 	return nil
 }
 
 // DiskPath maps a corpus URL path to its materialized on-disk file and
 // size, or ok=false when the corpus is not materialized or the path is
-// outside it. Callers open the file per request: sendfile advances the
-// descriptor's offset, so a shared handle cannot serve concurrently.
+// outside it. Both come from the path alone: no body is read or
+// synthesized, and the name was built once by Materialize. Callers open
+// the file per request: sendfile advances the descriptor's offset, so a
+// shared handle cannot serve concurrently.
 func (fs *FileSet) DiskPath(path string) (name string, size int64, ok bool) {
-	fs.mu.Lock()
-	dir := fs.diskDir
-	fs.mu.Unlock()
-	if dir == "" {
+	names := fs.names.Load()
+	if names == nil {
 		return "", 0, false
 	}
-	var d, c, f int
-	if _, err := fmt.Sscanf(path, "/dir%d/class%d_%d.html", &d, &c, &f); err != nil {
+	i, ok := fs.index(path)
+	if !ok {
 		return "", 0, false
 	}
-	if d < 0 || d >= fs.Dirs || c < 0 || c > 3 || f < 1 || f > 9 {
-		return "", 0, false
-	}
-	return filepath.Join(dir, diskName(path)), int64(fs.Size(c, f)), true
+	return (*names)[i], int64(fs.indexSize(i)), true
 }
 
 // diskName flattens a corpus URL path into a single file name.
@@ -148,14 +183,15 @@ func (fs *FileSet) TotalBytes() int64 {
 	return perDir * int64(fs.Dirs)
 }
 
-// synthesize produces deterministic pseudo-random printable content.
-func synthesize(path string, size int) []byte {
+// synthesize fills data with the deterministic pseudo-random printable
+// content of path and returns it. The bytes depend only on path and
+// len(data), so Materialize's reused buffer yields Lookup's bodies.
+func synthesize(data []byte, path string) []byte {
 	var seed int64
 	for _, c := range path {
 		seed = seed*131 + int64(c)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	data := make([]byte, size)
 	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 \n"
 	for i := range data {
 		data[i] = alphabet[rng.Intn(len(alphabet))]

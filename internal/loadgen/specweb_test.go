@@ -38,11 +38,73 @@ func TestFileSetMissingPaths(t *testing.T) {
 		"/dir0/class0_0.html", // file out of range
 		"/dir0/class0_10.html",
 		"/dirX/class0_1.html",
+		// Non-canonical spellings of /dir0/class0_1.html and friends: each
+		// would seed its own body and keep it, so none may resolve.
+		"/dir0/class0_1.htmlXYZ",
+		"/dir0/class3_9.html1",
+		"/dir+0/class0_1.html",
+		"/dir-0/class0_1.html",
+		"/dir00/class0_01.html",
+		"/dir0/class00_1.html",
+		"/dir0/class+0_1.html",
+		"/dir 0/class0_1.html",
+		"/dir0/class0_1.htm",
+		"/dir0/class0_1.html/",
+		"dir0/class0_1.html",
+		"",
 	} {
 		if _, ok := fs.Lookup(path); ok {
 			t.Errorf("Lookup(%q) should miss", path)
 		}
 	}
+	if n := fs.resident(); n != 0 {
+		t.Errorf("%d bodies resident after only missing lookups", n)
+	}
+}
+
+// TestFileSetIndexRoundTrip: every canonical path, multi-digit
+// directories included, maps to its own file index with the right size,
+// without synthesizing any body.
+func TestFileSetIndexRoundTrip(t *testing.T) {
+	fs := NewFileSet(12)
+	seen := make(map[int]bool)
+	for d := 0; d < fs.Dirs; d++ {
+		for c := 0; c < 4; c++ {
+			for f := 1; f <= 9; f++ {
+				p := fs.Path(d, c, f)
+				i, ok := fs.index(p)
+				if !ok {
+					t.Fatalf("index(%q) missing", p)
+				}
+				if seen[i] {
+					t.Fatalf("index(%q) = %d, already taken", p, i)
+				}
+				seen[i] = true
+				if fs.indexSize(i) != fs.Size(c, f) {
+					t.Fatalf("%q: indexSize %d, want %d", p, fs.indexSize(i), fs.Size(c, f))
+				}
+			}
+		}
+	}
+	if _, ok := fs.index("/dir12/class0_1.html"); ok {
+		t.Error("index accepted a directory past Dirs")
+	}
+	if n := fs.resident(); n != 0 {
+		t.Errorf("%d bodies resident after index lookups", n)
+	}
+}
+
+// resident counts the bodies Lookup has synthesized and kept.
+func (fs *FileSet) resident() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n := 0
+	for _, b := range fs.bodies {
+		if b != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestFileSetDeterministic(t *testing.T) {
@@ -276,10 +338,10 @@ func TestQuickSampledPathsAlwaysResolve(t *testing.T) {
 	}
 }
 
-// TestMaterializeDiskPath: the on-disk mirror must hold byte-identical
-// bodies for every corpus path, DiskPath must agree with Lookup on
-// sizes and membership, and an unmaterialized set must report no disk
-// paths at all.
+// TestMaterializeDiskPath: Materialize must leave no body resident, the
+// on-disk mirror must hold byte-identical bodies for every corpus path,
+// DiskPath must agree with Lookup on sizes and membership, and an
+// unmaterialized set must report no disk paths at all.
 func TestMaterializeDiskPath(t *testing.T) {
 	fs := NewFileSet(2)
 	if _, _, ok := fs.DiskPath(fs.Path(0, 0, 1)); ok {
@@ -288,6 +350,9 @@ func TestMaterializeDiskPath(t *testing.T) {
 	dir := t.TempDir()
 	if err := fs.Materialize(dir); err != nil {
 		t.Fatalf("Materialize: %v", err)
+	}
+	if n := fs.resident(); n != 0 {
+		t.Fatalf("%d bodies resident after Materialize, want 0", n)
 	}
 	for d := 0; d < fs.Dirs; d++ {
 		for c := 0; c < 4; c++ {

@@ -140,11 +140,12 @@ func (s *Server) serveConn(c *netkit.Conn) {
 		}
 		closing := !req.KeepAlive || c.Served+1 >= s.cfg.MaxKeepAlive
 		var body httpkit.Body
+		ok := true
 		if req.Dynamic() {
 			if body, err = httpkit.RenderDynamic(s.pages, &req, int64(s.cfg.ScriptWork)); err != nil {
 				return
 			}
-		} else if body.Bytes = s.lookup(req.Path); body.Bytes == nil {
+		} else if body, ok = s.lookup(req.Path); !ok {
 			_ = httpkit.NotFound(c)
 			return
 		}
@@ -159,16 +160,19 @@ func (s *Server) serveConn(c *netkit.Conn) {
 	}
 }
 
-// lookup returns a static body from the response cache, reading it from
-// the corpus and caching it on a miss; nil for unknown paths.
-func (s *Server) lookup(path string) []byte {
-	body, ok := s.cache.Get(path)
-	if !ok {
-		if body, ok = s.cfg.Files.Lookup(path); !ok {
-			return nil
-		}
-		s.cache.Put(path, body)
+// lookup returns a static path's body from the response cache or, on a
+// miss, httpkit.StaticBody's choice: bytes are cached, a large
+// materialized file is streamed from disk and never cached. false for
+// unknown paths.
+func (s *Server) lookup(path string) (httpkit.Body, bool) {
+	if cached, ok := s.cache.Get(path); ok {
+		s.cache.Release(path)
+		return httpkit.Body{Bytes: cached}, true
 	}
-	s.cache.Release(path)
-	return body
+	body, ok := httpkit.StaticBody(s.cfg.Files, path)
+	if body.Bytes != nil {
+		s.cache.Put(path, body.Bytes)
+		s.cache.Release(path)
+	}
+	return body, ok
 }

@@ -223,15 +223,18 @@ func (s *Server) fileStage(ev *event) {
 		}
 		ev.body = body
 	} else {
-		body, ok := s.cfg.Files.Lookup(ev.req.Path)
+		// A large materialized file streams from disk and skips the cache.
+		body, ok := httpkit.StaticBody(s.cfg.Files, ev.req.Path)
 		if !ok {
 			_ = httpkit.NotFound(ev.conn)
 			ev.conn.Close()
 			return
 		}
-		s.cache.Put(ev.req.Path, body)
-		s.cache.Release(ev.req.Path)
-		ev.body.Bytes = body
+		if body.Bytes != nil {
+			s.cache.Put(ev.req.Path, body.Bytes)
+			s.cache.Release(ev.req.Path)
+		}
+		ev.body = body
 	}
 	s.enqueue(s.sendQ, ev)
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/servers/webserver/fscript"
 )
@@ -39,6 +40,21 @@ const (
 // materialized copy on disk is streamed with sendfile(2) instead of
 // being held in user space.
 const SendfileThreshold = 64 << 10
+
+// StaticBody picks the body a static path is answered with: the
+// materialized file, streamed with sendfile(2), for a corpus file of at
+// least SendfileThreshold bytes, otherwise the corpus bytes from Lookup;
+// false for a path outside the corpus. The choice reads only the path,
+// so a large materialized file's bytes never enter the server's memory.
+// Every web server answers static paths through it, and only a Bytes
+// body is ever cached.
+func StaticBody(files *loadgen.FileSet, path string) (Body, bool) {
+	if name, size, ok := files.DiskPath(path); ok && size >= SendfileThreshold {
+		return Body{File: name, Size: size}, true
+	}
+	b, ok := files.Lookup(path)
+	return Body{Bytes: b}, ok
+}
 
 // Request is one parsed request.
 type Request struct {

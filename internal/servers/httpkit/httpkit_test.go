@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/servers/webserver/fscript"
 )
@@ -226,5 +227,61 @@ func BenchmarkStaticResponseWrite(b *testing.B) {
 		if err := Respond(c, 200, "OK", "text/html", body, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStaticBody: a materialized file of at least SendfileThreshold is
+// sent from disk, anything smaller — or any file of an unmaterialized
+// corpus — as the corpus bytes, and a path outside the corpus is
+// unknown. Choosing allocates nothing once a small body is resident.
+func TestStaticBody(t *testing.T) {
+	files := loadgen.NewFileSet(1)
+	small, large := files.Path(0, 1, 2), files.Path(0, 3, 9)
+	if b, ok := StaticBody(files, large); !ok || b.File != "" || len(b.Bytes) != files.Size(3, 9) {
+		t.Fatalf("unmaterialized large file: %+v %v, want its bytes", b.File, ok)
+	}
+	files = loadgen.NewFileSet(1)
+	if err := files.Materialize(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := StaticBody(files, large); !ok || b.File == "" || b.Size != int64(files.Size(3, 9)) || b.Bytes != nil {
+		t.Fatalf("materialized large file: %q size %d bytes %d %v, want the file", b.File, b.Size, len(b.Bytes), ok)
+	}
+	want, _ := files.Lookup(small)
+	if b, ok := StaticBody(files, small); !ok || b.File != "" || !bytes.Equal(b.Bytes, want) {
+		t.Fatalf("small file: %q %d bytes %v, want its bytes", b.File, len(b.Bytes), ok)
+	}
+	if _, ok := StaticBody(files, "/dir0/class1_02.html"); ok {
+		t.Fatal("non-canonical path resolved")
+	}
+	for _, path := range []string{small, large} {
+		if allocs := testing.AllocsPerRun(100, func() { StaticBody(files, path) }); allocs != 0 {
+			t.Errorf("StaticBody(%s) allocates %v per call", path, allocs)
+		}
+	}
+}
+
+// BenchmarkStaticBody is the CI-gated static-body choice on a cache
+// miss: a small resident corpus file and a sendfile-bound materialized
+// one. The allocation budget is zero for both.
+func BenchmarkStaticBody(b *testing.B) {
+	files := loadgen.NewFileSet(1)
+	if err := files.Materialize(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct{ name, path string }{
+		{"cached", files.Path(0, 1, 2)},
+		{"sendfile", files.Path(0, 3, 9)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			StaticBody(files, bc.path) // make a small body resident
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := StaticBody(files, bc.path); !ok {
+					b.Fatal("unknown path")
+				}
+			}
+		})
 	}
 }

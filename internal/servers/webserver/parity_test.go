@@ -130,6 +130,8 @@ func TestWireParityAcrossServers(t *testing.T) {
 	}
 	static := files.Path(0, 1, 2)
 	silence := ""
+	notFound := string(httpkit.WithCloseHeader(httpkit.Render(404, "Not Found", "text/html",
+		[]byte("<html><body><h1>404 Not Found</h1></body></html>"))))
 
 	type parityCase struct {
 		name string
@@ -144,7 +146,7 @@ func TestWireParityAcrossServers(t *testing.T) {
 	}
 	capped := strings.Repeat(rendered(static, false), parityKeepAlive-1) + rendered(static, true)
 	cases = append(cases,
-		parityCase{"404", get("/no/such/file", ""), nil},
+		parityCase{"404", get("/no/such/file", ""), &notFound},
 		parityCase{"dynamic", get("/dynamic?n=10", closing), nil},
 		parityCase{"adrotate", get("/adrotate?u=3", closing), nil},
 		parityCase{"post", post(closing), nil},
@@ -156,6 +158,12 @@ func TestWireParityAcrossServers(t *testing.T) {
 		parityCase{"conflicting content lengths",
 			"POST /post HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nab=cd", &silence},
 	)
+
+	// Non-canonical spellings of corpus files are unknown paths: serving
+	// them would give each spelling its own body and cache slot.
+	for _, alias := range []string{static + "1", "/dir00/class1_02.html", "/dir+0/class1_2.html"} {
+		cases = append(cases, parityCase{"alias " + alias, get(alias, ""), &notFound})
+	}
 
 	targets := parityTargets(files)
 	for _, tc := range cases {

@@ -433,23 +433,17 @@ func (s *Server) checkCache(fl *runtime.Flow, in runtime.Record) (runtime.Record
 }
 
 // readFile fetches the static file, failing (to FourOhFour) on unknown
-// paths. Large bodies from a materialized corpus are served with
+// paths. Large files of a materialized corpus are served with
 // sendfile(2) and bypass the response cache — the kernel's page cache
 // already holds them, so caching a user-space copy would only pay the
-// copy tax back.
+// copy tax back (httpkit.StaticBody makes the choice from the path).
 func (s *Server) readFile(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	req := in[2].(*Request)
-	body, ok := s.cfg.Files.Lookup(req.Path)
+	body, ok := httpkit.StaticBody(s.cfg.Files, req.Path)
 	if !ok {
 		return nil, fmt.Errorf("webserver: no such file %q", req.Path)
 	}
-	if len(body) >= httpkit.SendfileThreshold {
-		if name, size, ok := s.cfg.Files.DiskPath(req.Path); ok {
-			req.body = httpkit.Body{File: name, Size: size}
-			return in, nil
-		}
-	}
-	req.body.Bytes = body
+	req.body = body
 	return in, nil
 }
 

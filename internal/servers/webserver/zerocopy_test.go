@@ -15,6 +15,7 @@ import (
 
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/servers/httpkit"
 	"github.com/flux-lang/flux/internal/telemetry"
 )
 
@@ -42,6 +43,47 @@ func TestSendfileServesLargeBody(t *testing.T) {
 	// must be another miss, not a hit on a cached copy.
 	if _, _ = get(t, addr, path); func() uint64 { h, _, _ := s.CacheStats(); return h }() != 0 {
 		t.Error("large body found in the response cache; sendfile path must bypass it")
+	}
+}
+
+// TestSendfileKeepsCorpusOutOfHeap: serving every sendfile-bound file
+// of a materialized corpus must not make the corpus resident. The
+// 1-directory corpus is ~5 MB, ~4.5 MB of it in files of 64 KB or more;
+// after a GC the heap must have grown by less than 1 MB since before the
+// corpus existed.
+func TestSendfileKeepsCorpusOutOfHeap(t *testing.T) {
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+
+	files := loadgen.NewFileSet(1)
+	if err := files.Materialize(t.TempDir()); err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	_, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPool, PoolSize: 4})
+	defer stop()
+	served := 0
+	for c := 0; c < 4; c++ {
+		for f := 1; f <= 9; f++ {
+			if files.Size(c, f) < httpkit.SendfileThreshold {
+				continue
+			}
+			if status, body := get(t, addr, files.Path(0, c, f)); status != 200 || len(body) != files.Size(c, f) {
+				t.Fatalf("%s: status %d, %d bytes", files.Path(0, c, f), status, len(body))
+			}
+			served++
+		}
+	}
+	if served == 0 {
+		t.Fatal("no corpus file reaches the sendfile threshold")
+	}
+
+	goruntime.GC()
+	goruntime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap grew %d KB serving %d sendfile-bound files", grew>>10, served)
+	if grew >= 1<<20 {
+		t.Errorf("heap grew %d KB; want < 1024 KB", grew>>10)
 	}
 }
 
