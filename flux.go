@@ -21,10 +21,11 @@
 //
 // The compiled program runs unchanged on interchangeable runtime
 // engines (§3.2): goroutine-per-flow, a fixed pool with FIFO admission,
-// an event-driven engine whose dispatcher never blocks, and a
-// work-stealing engine that shards the event loop across one
-// deque-owning dispatcher per core — all behind the runtime's Engine
-// interface, so further engines plug in without touching the server. It
+// and an event-driven engine whose dispatchers never block — one
+// dispatcher for EventDriven, and for WorkStealing one deque-owning
+// dispatcher per core that shards the event loop — all behind the
+// runtime's Engine interface, so further engines plug in without
+// touching the server. It
 // can also be fed to the discrete-event simulator to predict server
 // performance on hypothetical hardware before deployment (§5.1).
 //
@@ -147,20 +148,21 @@ type (
 	FlowOutcome = runtime.FlowOutcome
 )
 
-// Engine kinds: the three runtimes of §3.2 plus the multicore
-// work-stealing evolution of the event engine.
+// Engine kinds: the three runtimes of §3.2, the event-driven one also
+// as a multicore work-stealing kind. EventDriven and WorkStealing build
+// the same engine and differ only in their default dispatcher count.
 const (
 	// ThreadPerFlow starts a goroutine per data flow.
 	ThreadPerFlow = runtime.ThreadPerFlow
 	// ThreadPool services flows with a fixed worker pool, FIFO admission.
 	ThreadPool = runtime.ThreadPool
-	// EventDriven runs node activations as events on a non-blocking
-	// dispatcher with an async-I/O offload pool.
+	// EventDriven runs node activations as events on one non-blocking
+	// dispatcher (tune with WithDispatchers) with an async-I/O offload
+	// pool.
 	EventDriven = runtime.EventDriven
-	// WorkStealing runs one event dispatcher per core (default
-	// GOMAXPROCS, tune with WithDispatchers), each owning a local run
-	// deque with idle-core work stealing — the event engine's design
-	// scaled across cores.
+	// WorkStealing is the event-driven engine with one dispatcher per
+	// core (default GOMAXPROCS, tune with WithDispatchers), each owning a
+	// local run deque with idle-core work stealing.
 	WorkStealing = runtime.WorkStealing
 )
 
@@ -207,11 +209,11 @@ var (
 	// WithDispatchers sets the event-loop count (default 1 for
 	// EventDriven, GOMAXPROCS for WorkStealing).
 	WithDispatchers = runtime.WithDispatchers
-	// WithAsyncWorkers sizes the event engine's blocking-call offload
-	// pool (default 16).
+	// WithAsyncWorkers sizes the event-driven engine's blocking-call
+	// offload pool (default 16).
 	WithAsyncWorkers = runtime.WithAsyncWorkers
-	// WithSourceTimeout sets the event engine's source polling deadline
-	// (default 20ms).
+	// WithSourceTimeout sets the event-driven engine's source polling
+	// deadline (default 20ms).
 	WithSourceTimeout = runtime.WithSourceTimeout
 	// WithObserver attaches an observer to the unified plane.
 	WithObserver = runtime.WithObserver
@@ -269,7 +271,7 @@ func ParseEngineKind(name string) (EngineKind, bool) { return runtime.ParseEngin
 func MultiObserver(obs ...Observer) Observer { return runtime.MultiObserver(obs...) }
 
 // IntervalSource builds a source firing every interval — deadline-aware
-// so timer flows never wedge the event engine's dispatcher.
+// so timer flows never wedge an event-driven dispatcher.
 func IntervalSource(d time.Duration) SourceFunc { return runtime.IntervalSource(d) }
 
 // Path profiling (§5.2): Telemetry.PathProfile ranks a graph's paths.

@@ -156,7 +156,7 @@ func BenchmarkFlowOverheadPooledRecord(b *testing.B) {
 
 // multiSourceSrc builds a program with n independent sources, each
 // feeding its own straight-line flow over shared nodes — the shape that
-// separates per-dispatcher run queues from a single shared event queue.
+// separates per-dispatcher run queues from one shared queue.
 func multiSourceSrc(n int) string {
 	src := "A (int v) => (int v);\nB (int v) => (int v);\nSink (int v) => ();\n"
 	for i := 0; i < n; i++ {
@@ -165,50 +165,48 @@ func multiSourceSrc(n int) string {
 	return src
 }
 
-// BenchmarkEngineScaling measures aggregate flow throughput of the event
-// and work-stealing engines at 1/2/4/8 dispatchers with 8 concurrent
-// sources. ns/op is per flow across all sources: the event engine's
-// shared queue mutex makes it rise with dispatcher count, while the
-// steal engine's sharded deques hold or improve it — the scaling curve
-// recorded in EXPERIMENTS.md.
+// BenchmarkEngineScaling measures aggregate flow throughput of the
+// event-driven engine at 1/2/4/8 dispatchers with 8 concurrent sources
+// (EventDriven is the d1 point, WorkStealing's default the GOMAXPROCS
+// one). ns/op is per flow across all sources: the sharded deques hold or
+// improve it as dispatchers are added — the scaling curve recorded in
+// EXPERIMENTS.md.
 func BenchmarkEngineScaling(b *testing.B) {
 	const nSources = 8
-	for _, kind := range []EngineKind{EventDriven, WorkStealing} {
-		for _, disp := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s-d%d", kind, disp), func(b *testing.B) {
-				p := compileBench(b, multiSourceSrc(nSources))
-				rec := Record{1}
-				var left atomic.Int64
-				left.Store(int64(b.N))
-				pass := func(fl *Flow, in Record) (Record, error) { return in, nil }
-				bnd := NewBindings().
-					BindNode("A", pass).
-					BindNode("B", pass).
-					BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-				for i := 0; i < nSources; i++ {
-					bnd.BindSource(fmt.Sprintf("Gen%d", i), func(fl *Flow) (Record, error) {
-						if left.Add(-1) < 0 {
-							return nil, ErrStop
-						}
-						return rec, nil
-					})
-				}
-				s, err := NewServer(p, bnd, Config{Kind: kind, Dispatchers: disp,
-					SourceTimeout: time.Millisecond})
-				if err != nil {
-					b.Fatalf("NewServer: %v", err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				if err := s.Run(context.Background()); err != nil {
-					b.Fatalf("Run: %v", err)
-				}
-				b.StopTimer()
-				if got := s.Stats().Snapshot().Completed; got != uint64(b.N) {
-					b.Fatalf("completed = %d, want %d", got, b.N)
-				}
-			})
-		}
+	for _, disp := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("%s-d%d", WorkStealing, disp), func(b *testing.B) {
+			p := compileBench(b, multiSourceSrc(nSources))
+			rec := Record{1}
+			var left atomic.Int64
+			left.Store(int64(b.N))
+			pass := func(fl *Flow, in Record) (Record, error) { return in, nil }
+			bnd := NewBindings().
+				BindNode("A", pass).
+				BindNode("B", pass).
+				BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
+			for i := 0; i < nSources; i++ {
+				bnd.BindSource(fmt.Sprintf("Gen%d", i), func(fl *Flow) (Record, error) {
+					if left.Add(-1) < 0 {
+						return nil, ErrStop
+					}
+					return rec, nil
+				})
+			}
+			s, err := NewServer(p, bnd, Config{Kind: WorkStealing, Dispatchers: disp,
+				SourceTimeout: time.Millisecond})
+			if err != nil {
+				b.Fatalf("NewServer: %v", err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(context.Background()); err != nil {
+				b.Fatalf("Run: %v", err)
+			}
+			b.StopTimer()
+			if got := s.Stats().Snapshot().Completed; got != uint64(b.N) {
+				b.Fatalf("completed = %d, want %d", got, b.N)
+			}
+		})
 	}
 }
 
@@ -316,7 +314,7 @@ func BenchmarkInject(b *testing.B) {
 				// in-flight count and let the engine drain. Without this
 				// the benchmark measures queue growth (flows parked in
 				// the FIFO cannot recycle), not the admission path.
-				for i-int(completed.Load()) > 4*eventBatch {
+				for i-int(completed.Load()) > 4*stealBatch {
 					runtime.Gosched()
 				}
 				if err := h.Inject(rec); err != nil {

@@ -56,10 +56,10 @@ func (b *Bindings) BindSession(name string, fn SessionFunc) *Bindings {
 }
 
 // MarkBlocking tags a node as performing blocking calls (network or disk
-// I/O). The event engine offloads blocking nodes to its asynchronous-I/O
-// pool instead of running them on the dispatcher — the analogue of the
-// paper's LD_PRELOAD interception of blocking functions (§3.2.2). Other
-// engines ignore the mark.
+// I/O). The event-driven engine (EventDriven and WorkStealing) offloads
+// blocking nodes to its asynchronous-I/O pool instead of running them on
+// a dispatcher — the analogue of the paper's LD_PRELOAD interception of
+// blocking functions (§3.2.2). Other engines ignore the mark.
 func (b *Bindings) MarkBlocking(names ...string) *Bindings {
 	for _, n := range names {
 		b.blocking[n] = true
@@ -101,7 +101,7 @@ func (b *Bindings) Validate(p *core.Program) error {
 	}
 	// Blocking marks must name declared non-source concrete nodes: a
 	// misspelled MarkBlocking would otherwise be silently ignored and the
-	// event engine's dispatcher would block on the node's real I/O.
+	// event-driven dispatcher would block on the node's real I/O.
 	nodeNames := make(map[string]bool)
 	for _, n := range p.ConcreteNodes() {
 		nodeNames[n.Name] = true

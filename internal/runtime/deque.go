@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// deque is the per-dispatcher run queue of the work-stealing engine: a
+// deque is the per-dispatcher run queue of the event-driven engine: a
 // growable ring with a LIFO owner end and a FIFO steal end. The owner
 // pushes and pops at the bottom (newest first, so a continuation runs
 // while its flow's state is still cache-hot); thieves take from the top
@@ -14,10 +14,10 @@ import (
 //
 // A deque is guarded by one mutex rather than implemented lock-free
 // (Chase-Lev): the mutex is private to one dispatcher plus occasional
-// thieves, so it is almost always uncontended — the scaling win over the
+// thieves, so it is almost always uncontended — the scaling win over one
 // engine-wide event queue comes from sharding, not from removing the
 // last uncontended lock. The mutex also makes cross-dispatcher pushes
-// (lock grants, async completions, injection overflow) trivially safe.
+// (lock grants, injection spills) trivially safe.
 //
 // stealHalf deliberately copies into a caller-owned scratch buffer and
 // never touches the thief's deque, so no operation holds two deque
@@ -87,8 +87,8 @@ func (d *deque[T]) pop() (v T, ok bool) {
 // first, preserving the owner's LIFO order exactly as repeated pop
 // calls would — in one mutex round trip, and reports how many were
 // taken. Under backlog the owner's mutex amortizes over the batch (the
-// deque analogue of the event engine's FIFO popBatch); with a short
-// deque it degenerates to pop, so thieves are not starved by the owner
+// deque analogue of the fifo's popBatch); with a short deque it
+// degenerates to pop, so thieves are not starved by the owner
 // claiming everything.
 func (d *deque[T]) popBatch(buf []T) int {
 	d.mu.Lock()

@@ -59,9 +59,11 @@ var ErrServerClosed = errors.New("flux/runtime: server closed")
 var ErrNotStarted = errors.New("flux/runtime: server not started")
 
 // The engine registry. The three paper engines register themselves in
-// init; additional engines (a work-stealing event engine, a NUMA-aware
-// pool, ...) register with RegisterEngine and become selectable through
-// WithEngine without any change to Server.
+// init, the event-driven one under two kinds (EventDriven and
+// WorkStealing differ only in their default dispatcher count);
+// additional engines (a NUMA-aware pool, ...) register with
+// RegisterEngine and become selectable through WithEngine without any
+// change to Server.
 var (
 	engineMu  sync.RWMutex
 	engineReg = map[EngineKind]engineEntry{}
@@ -128,7 +130,7 @@ func lookupEngine(kind EngineKind) (engineEntry, bool) {
 func init() {
 	RegisterEngine(ThreadPerFlow, "thread", newThreadEngine)
 	RegisterEngine(ThreadPool, "threadpool", newPoolEngine)
-	RegisterEngine(EventDriven, "event", newEventEngine)
+	RegisterEngine(EventDriven, "event", newStealEngine)
 	RegisterEngine(WorkStealing, "steal", newStealEngine)
 }
 

@@ -11,14 +11,45 @@ import (
 	"github.com/flux-lang/flux/internal/core"
 )
 
-// The work-stealing engine: the event-driven runtime (§3.2.2) decomposed
-// into one dispatcher per core, each owning a local run deque, so event
-// throughput scales with dispatcher count instead of collapsing on a
-// single shared queue's mutex — the multicore design the paper's
-// single-threaded event server predates.
+// The event-driven runtime (§3.2.2), in one engine with N dispatchers:
+// EventDriven is N = 1 — the paper's single-threaded event server — and
+// WorkStealing is N = GOMAXPROCS, one dispatcher per core, so event
+// throughput scales with dispatcher count instead of collapsing on one
+// shared queue's mutex. Config.withDefaults is the only difference
+// between the two kinds.
 //
-// Scheduling follows the shape of multicore runtime schedulers (Go's own
-// P-local run queues, Cilk-style deques):
+// A dispatcher must never block. Flows advance on it in run-to-block
+// segments: consecutive non-blocking vertices execute inline in one
+// dispatch (an N-node flow costs one queue trip, not N), and a flow
+// yields only when it must —
+//
+//   - source nodes are re-queued to originate new flows; they poll with
+//     a deadline (the select-with-timeout pattern the paper's web server
+//     uses), so an idle source holds its dispatcher for at most
+//     Config.SourceTimeout — which reproduces the low-concurrency latency
+//     hiccup of Figure 3. Work arriving for the dispatcher signals
+//     Flow.Wake, so a poll in progress yields at once (the paper's single
+//     select sees all activity);
+//   - nodes marked blocking are offloaded to a shared async pool, the Go
+//     analogue of the paper's LD_PRELOAD interception, and the offload
+//     worker that ran the node carries the flow on — further nodes,
+//     blocking or not, inline, to its terminal or its next contended
+//     constraint — instead of handing the result back to a dispatcher
+//     (each hand-back was a goready plus a wakep futex wake). A successor
+//     the flow re-admits through SourceHandle.Continue (the next
+//     keep-alive request) runs next on the same worker, unless work waits
+//     in the async queue;
+//   - lock acquisition never blocks, on a dispatcher or an offload
+//     worker: a contended constraint parks the flow on the lock's FIFO
+//     wait queue through its intrusive waiter node (no closure, no
+//     allocation), so later acquirers cannot starve earlier ones. A flow
+//     holding the constraint can sit in the async queue waiting for a
+//     worker, so workers blocked on it would deadlock the pool. The grant
+//     resumes the waiter on the *releasing* flow's last dispatcher — the
+//     lock handoff already moved the protected state to that core.
+//
+// Scheduling across dispatchers follows multicore runtime schedulers
+// (Go's own P-local run queues, Cilk-style deques):
 //
 //   - each dispatcher owns a deque of events: it pushes and pops at the
 //     LIFO end, so a flow's continuation runs while its state is still
@@ -27,40 +58,44 @@ import (
 //   - admissions are sharded: sources are distributed round-robin across
 //     the dispatchers at start, and each source's flows originate on its
 //     home dispatcher;
-//   - a dispatcher that runs dry batch-drains the overflow/injection
-//     queue (external Submit admissions and any work without a home),
-//     then steals the oldest half of a random victim's deque — oldest
-//     first, so migrated work preserves rough admission order;
-//   - a flow stays on the goroutine that unblocked it until it must wait
-//     again: a dispatcher offloads a blocking node to the shared async
-//     pool, and the offload worker that ran it carries the flow on —
-//     further nodes, blocking or not, inline, to its terminal or its next
-//     contended constraint — instead of handing the result back to a
-//     dispatcher that has nothing left to run (each hand-back was a
-//     goready plus a wakep futex wake). A successor the flow re-admits
-//     through SourceHandle.Continue (the next keep-alive request) runs
-//     next on the same worker, unless work waits in the async queue;
-//   - lock grants resume the waiter on the *releasing* flow's last
-//     dispatcher (the lock handoff already moved the protected state to
-//     that core), via the lock manager's intrusive waiter nodes — no
-//     closures, no global queue trip. Offload workers take constraints
-//     with the same fair try-then-park protocol and never block in
-//     acquire: a flow holding the constraint can sit in the async queue
-//     waiting for a worker, so workers blocked on it would deadlock the
-//     pool;
+//   - a dispatcher that runs dry batch-drains the injection queue
+//     (external Submit admissions and any work without a home), then
+//     steals the oldest half of a random victim's deque — oldest first,
+//     so migrated work preserves rough admission order;
 //   - idle dispatchers park on a per-dispatcher token channel. The
 //     parking protocol is announce-then-verify: a dispatcher publishes
 //     its parked flag, then re-scans every queue before sleeping, while
 //     producers publish work before reading parked flags — whichever
 //     side loses the race still observes the other's write, so no wakeup
 //     is missed and Drain cannot deadlock on a sleeping core.
-//
-// Run-to-block dispatch, the poll-shortening wake signal, and the
-// zero-allocation flow path carry over from the event engine unchanged.
 
-// stealBatch is how many injection-queue events an idle dispatcher
-// claims per mutex round trip.
+// stealBatch is how many events a dispatcher claims per mutex round
+// trip, from its own deque or the injection queue.
 const stealBatch = 8
+
+type eventKind int
+
+const (
+	evSource eventKind = iota // poll a source for the next record
+	evStep                    // resume a flow at a vertex
+)
+
+type event struct {
+	kind eventKind
+	st   *sourceState
+
+	// fl doubles as the flow being advanced (evStep) and the reusable
+	// poll context of an evSource event, so idle polling does not
+	// allocate a fresh Flow per ErrNoData round.
+	fl  *Flow
+	tbl *graphTable
+	v   *core.FlatNode
+	rec Record
+
+	// acquired tracks progress through an acquire vertex's constraint
+	// set across parked-grant resumptions.
+	acquired int
+}
 
 type stealEngine struct {
 	s        *Server
@@ -251,17 +286,18 @@ func (e *stealEngine) maybeFinish() {
 // directly, and maybeFinish (which offload workers also call when they
 // retire a flow) wakes everyone whenever the engine is observed
 // quiescent.
-func (d *stealDispatcher) nextClosing(buf []event) (event, bool) {
+func (d *stealDispatcher) nextClosing(buf []event) (int, bool) {
 	e := d.e
 	for {
 		if ev, ok := d.dq.pop(); ok {
-			return ev, true
+			buf[0] = ev
+			return 1, true
 		}
-		if ev, ok := d.drainInject(buf); ok {
-			return ev, true
+		if n := d.drainInject(buf); n > 0 {
+			return n, true
 		}
 		if e.inflight.Load() == 0 {
-			return event{}, false
+			return 0, false
 		}
 		<-d.wake
 	}
@@ -271,7 +307,8 @@ func (d *stealDispatcher) nextClosing(buf []event) (event, bool) {
 // the injection and async-offload backlogs, and the cumulative steal
 // count (reported through the queue-depth surface as the monotonic
 // QueueSteals sample — a counter, not a backlog, which CounterQueue
-// lets depth-aggregating consumers exclude).
+// lets depth-aggregating consumers exclude). Samples carry the server's
+// own kind, so an EventDriven server reports as EventDriven.
 func (e *stealEngine) sampleQueues() {
 	t := time.NewTicker(e.s.cfg.QueueSample)
 	defer t.Stop()
@@ -280,15 +317,15 @@ func (e *stealEngine) sampleQueues() {
 		case <-e.done:
 			return
 		case <-t.C:
-			obs := e.s.obs
+			obs, kind := e.s.obs, e.s.cfg.Kind
 			var steals uint64
 			for _, d := range e.disp {
-				obs.QueueDepth(WorkStealing, d.depthName, d.dq.len())
+				obs.QueueDepth(kind, d.depthName, d.dq.len())
 				steals += d.steals.Load()
 			}
-			obs.QueueDepth(WorkStealing, "inject", e.injectq.len())
-			obs.QueueDepth(WorkStealing, "async", e.asyncq.len())
-			obs.QueueDepth(WorkStealing, QueueSteals, int(steals))
+			obs.QueueDepth(kind, "inject", e.injectq.len())
+			obs.QueueDepth(kind, "async", e.asyncq.len())
+			obs.QueueDepth(kind, QueueSteals, int(steals))
 		}
 	}
 }
@@ -333,17 +370,15 @@ func (e *stealEngine) pushTo(d *stealDispatcher, ev event) {
 // futex (startlockedm/stopm), not a goroutine switch. Pinned, that
 // hand-off took the steal engine's mean hop gap from 0.4 µs to 8.5 µs
 // and cost bench/'s steal_small_keepalive 44 % of its throughput
-// (EXPERIMENTS.md, PR 21); unpinned, they pay the event engine's
-// goroutine-switch price.
+// (EXPERIMENTS.md, PR 21); unpinned, a wake is a plain goroutine
+// switch.
 //
-// Local work is claimed in owner-side batches (nextBatch), one deque
-// mutex round trip per stealBatch events instead of one per event. The
-// buffer is termination-check-safe by the event engine's argument:
-// every buffered event except a nudge holds sources > 0 (evSource) or
-// inflight > 0 (evStep), so maybeFinish cannot observe
+// Work is claimed in batches (nextBatch), one mutex round trip per
+// stealBatch events instead of one per event. The buffer is
+// termination-check-safe: every buffered event holds sources > 0
+// (evSource) or inflight > 0 (evStep), so maybeFinish cannot observe
 // quiescence while events sit in a dispatcher's buffer. Buffered events
-// are invisible to thieves, but a batch is at most stealBatch long —
-// the same bound the event engine accepts.
+// are invisible to thieves, but a batch is at most stealBatch long.
 func (d *stealDispatcher) loop() {
 	e := d.e
 	var buf [stealBatch]event
@@ -359,8 +394,10 @@ func (d *stealDispatcher) loop() {
 			e.maybeFinish()
 			// External admissions must not wait out the rest of an owner
 			// batch: spill them onto the deque between buffered events,
-			// where this dispatcher (or a woken thief) reaches them next.
-			if i+1 < n && e.ninject.Load() > 0 {
+			// where a woken thief reaches them next. A lone dispatcher has
+			// no thief and reaches them no sooner from its deque than from
+			// the injection queue, so it leaves them there.
+			if i+1 < n && len(e.disp) > 1 && e.ninject.Load() > 0 {
 				d.spillInject()
 			}
 		}
@@ -388,31 +425,24 @@ func (d *stealDispatcher) spillInject() {
 // deque must not starve the injection queue), then an owner-side batch
 // from the local deque (LIFO, one mutex trip), then half of a random
 // victim's deque, and otherwise parks until a producer signals. The
-// injection, steal, and closing paths yield one event per call; only
-// the local deque fills a whole batch.
+// local deque fills a whole batch, and so does the injection queue for a
+// lone dispatcher; the other paths yield one event per call.
 func (d *stealDispatcher) nextBatch(buf []event) (int, bool) {
 	e := d.e
 	for {
 		if e.closed.Load() {
-			ev, ok := d.nextClosing(buf)
-			if !ok {
-				return 0, false
-			}
-			buf[0] = ev
-			return 1, true
+			return d.nextClosing(buf)
 		}
 		if e.ninject.Load() > 0 {
-			if ev, ok := d.drainInject(buf); ok {
-				buf[0] = ev
-				return 1, true
+			if n := d.drainInject(buf); n > 0 {
+				return n, true
 			}
 		}
 		if n := d.dq.popBatch(buf); n > 0 {
 			return n, true
 		}
-		if ev, ok := d.drainInject(buf); ok {
-			buf[0] = ev
-			return 1, true
+		if n := d.drainInject(buf); n > 0 {
+			return n, true
 		}
 		if ev, ok := d.steal(); ok {
 			buf[0] = ev
@@ -434,26 +464,28 @@ func (d *stealDispatcher) nextBatch(buf []event) (int, bool) {
 	}
 }
 
-// drainInject claims a batch from the overflow/injection queue: the
-// first event is returned to run now, the rest spill onto the local
-// deque where parked peers can steal them.
-func (d *stealDispatcher) drainInject(buf []event) (event, bool) {
-	n := d.e.injectq.tryPopBatch(buf)
+// drainInject claims a batch from the injection queue into buf and
+// reports how many events are there to run now. With peers only the
+// first stays: the rest spill onto the local deque, where parked peers
+// can steal them. A lone dispatcher has no one to share with, so it
+// runs the whole batch from its buffer.
+func (d *stealDispatcher) drainInject(buf []event) int {
+	e := d.e
+	n := e.injectq.tryPopBatch(buf)
 	if n == 0 {
-		return event{}, false
+		return 0
 	}
-	d.e.ninject.Add(-int64(n))
+	e.ninject.Add(-int64(n))
+	if n == 1 || len(e.disp) == 1 {
+		return n
+	}
 	for i := 1; i < n; i++ {
 		d.dq.push(buf[i])
 		buf[i] = event{}
 	}
-	ev := buf[0]
-	buf[0] = event{}
-	if n > 1 {
-		// The surplus is stealable; invite a parked peer.
-		d.e.wakeOneParked()
-	}
-	return ev, true
+	// The surplus is stealable; invite a parked peer.
+	e.wakeOneParked()
+	return 1
 }
 
 // anyDequeued reports whether any other dispatcher's deque holds work —
@@ -529,7 +561,7 @@ func (d *stealDispatcher) steal() (event, bool) {
 // onto this dispatcher's deque. A step may be a lock grant for a flow
 // that parked on an offload worker, so its next-flow slot is dropped: a
 // dispatcher cannot carry a successor. morePending reports events still
-// buffered by this dispatcher's owner batch, which count as ready work
+// buffered by this dispatcher's current batch, which count as ready work
 // for source poll-shortening.
 func (d *stealDispatcher) handle(ev event, morePending bool) {
 	switch ev.kind {
@@ -538,8 +570,6 @@ func (d *stealDispatcher) handle(ev event, morePending bool) {
 	case evStep:
 		ev.fl.disp, ev.fl.car = d, nil
 		d.e.run(ev.fl, ev.tbl, ev.v, ev.rec, ev.acquired, false)
-	case evNudge:
-		// No work; exists to force the termination check in loop.
 	}
 }
 
@@ -553,7 +583,7 @@ func (d *stealDispatcher) retireSource(ev event) {
 
 // handleSource polls a source once and re-queues it on this dispatcher's
 // deque; its flows originate here and stay here unless stolen.
-// morePending (events buffered by the caller's owner batch) shortens the
+// morePending (events buffered by the caller's batch) shortens the
 // poll and suppresses the idle guard sleep, exactly as deque or
 // injection backlog does.
 func (d *stealDispatcher) handleSource(ev event, morePending bool) {
@@ -573,7 +603,7 @@ func (d *stealDispatcher) handleSource(ev event, morePending bool) {
 	// dispatcher (the event may have been stolen).
 	ev.fl.Wake = d.wake
 	// Pre-arm the wake signal when work is already waiting — buffered by
-	// the owner batch, locally queued, or in the injection queue — so a
+	// the current batch, locally queued, or in the injection queue — so a
 	// well-behaved source's select fires immediately. The queue probes
 	// are atomic loads.
 	d.drainWake()
@@ -634,10 +664,12 @@ func (d *stealDispatcher) sleepWakeable(dur time.Duration) {
 }
 
 // run executes consecutive vertices of one flow inline — run-to-block —
-// identical in structure to the event engine's dispatch. On a dispatcher
-// a blocking node offloads the flow to the shared async pool; on an
-// offload worker (onWorker) it runs inline. Everywhere, contended
-// constraints park the flow through its intrusive waiter node.
+// returning only when the flow offloads a blocking node, parks on a
+// contended constraint, or terminates. On a dispatcher a blocking node
+// offloads the flow to the shared async pool; on an offload worker
+// (onWorker) it runs inline. Everywhere, contended constraints park the
+// flow through its intrusive waiter node. acquired carries a parked
+// acquire vertex's progress through its constraint set.
 func (e *stealEngine) run(fl *Flow, tbl *graphTable, v *core.FlatNode, rec Record, acquired int, onWorker bool) {
 	s := e.s
 	for {

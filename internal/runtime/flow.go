@@ -19,13 +19,13 @@ type Flow struct {
 	Session uint64
 
 	// SourceTimeout, when nonzero, asks the source function to poll with
-	// a deadline and return ErrNoData on expiry. The event engine sets
-	// it so the dispatcher is never blocked indefinitely inside a source
-	// (the select-with-timeout pattern of §4.2).
+	// a deadline and return ErrNoData on expiry. The event-driven engine
+	// sets it so a dispatcher is never blocked indefinitely inside a
+	// source (the select-with-timeout pattern of §4.2).
 	SourceTimeout time.Duration
 
-	// Wake, when non-nil, is signaled by the event engine when other
-	// work arrives while a source is polling. Channel-based sources
+	// Wake, when non-nil, is signaled by the event-driven engine when
+	// other work arrives for the polling dispatcher. Channel-based sources
 	// should include it in their select and return ErrNoData — the
 	// paper's server blocks in one select watching all activity, so any
 	// completion wakes it; Wake is that "other activity" signal for

@@ -7,9 +7,9 @@ import (
 
 // IntervalSource builds a source that fires every interval, emitting the
 // tick count. Unlike a naive timer loop it honors Flow.SourceTimeout: on
-// the event engine the dispatcher is held for at most the polling
+// the event-driven engine a dispatcher is held for at most the polling
 // deadline, returning ErrNoData until the interval elapses — a timer
-// flow must never wedge the event queue (§3.2.2).
+// flow must never wedge a dispatcher (§3.2.2).
 func IntervalSource(interval time.Duration) SourceFunc {
 	var mu sync.Mutex
 	var next time.Time

@@ -1,7 +1,12 @@
 package runtime
 
 import (
+	"context"
+	"sync"
 	"testing"
+	"time"
+
+	"github.com/flux-lang/flux/internal/core"
 )
 
 // shedCounter is an observer that also implements ShedObserver.
@@ -84,6 +89,70 @@ func TestCounterQueue(t *testing.T) {
 	for _, q := range depths {
 		if CounterQueue(q) {
 			t.Errorf("CounterQueue(%q) = true, want false", q)
+		}
+	}
+}
+
+// queueKinds records which engine kinds report each queue-depth stream.
+type queueKinds struct {
+	mu    sync.Mutex
+	kinds map[string]map[EngineKind]bool
+}
+
+func (q *queueKinds) FlowDone(*core.FlatGraph, uint64, FlowOutcome, time.Duration) {}
+func (q *queueKinds) NodeDone(*core.FlatGraph, *core.FlatNode, time.Duration)      {}
+func (q *queueKinds) QueueDepth(kind EngineKind, queue string, _ int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.kinds[queue] == nil {
+		q.kinds[queue] = map[EngineKind]bool{}
+	}
+	q.kinds[queue][kind] = true
+}
+
+func (q *queueKinds) reported(queue string, kind EngineKind) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.kinds[queue][kind]
+}
+
+// TestQueueDepthCarriesServerKind: the event-driven and work-stealing
+// kinds share one engine, and its queue-depth samples carry the kind the
+// server was built with — an observed EventDriven server reports its
+// dispatcher, injection and offload queues as EventDriven, never as
+// WorkStealing.
+func TestQueueDepthCarriesServerKind(t *testing.T) {
+	p := compileSrc(t, pipelineSrc)
+	b := NewBindings().
+		BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
+		BindNode("Double", nopNode).
+		BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
+	q := &queueKinds{kinds: map[string]map[EngineKind]bool{}}
+	s, err := NewServer(p, b, Config{Kind: EventDriven, Observer: q, KeepAlive: true,
+		QueueSample: time.Millisecond, SourceTimeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	queues := []string{"disp0", "inject", "async"}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, name := range queues {
+		for !q.reported(name, EventDriven) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %q sample reported as %s", name, EventDriven)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cancel()
+	_ = s.Wait()
+	for _, name := range append(queues, QueueSteals) {
+		if q.reported(name, WorkStealing) {
+			t.Errorf("%q sampled as %s on an %s server", name, WorkStealing, EventDriven)
 		}
 	}
 }

@@ -24,22 +24,21 @@ func WithPoolSize(n int) Option {
 	return func(c *Config) { c.PoolSize = n }
 }
 
-// WithDispatchers sets the event-loop count for the event-driven engine
-// (default 1, the paper's single-threaded event server) and the
-// dispatcher count for the work-stealing engine (default GOMAXPROCS,
-// one per core).
+// WithDispatchers sets the event-loop count of the event-driven engine:
+// default 1 for EventDriven, the paper's single-threaded event server,
+// and GOMAXPROCS for WorkStealing, one per core.
 func WithDispatchers(n int) Option {
 	return func(c *Config) { c.Dispatchers = n }
 }
 
-// WithAsyncWorkers sizes the event engine's blocking-call offload pool
-// (default 16).
+// WithAsyncWorkers sizes the event-driven engine's blocking-call
+// offload pool (default 16).
 func WithAsyncWorkers(n int) Option {
 	return func(c *Config) { c.AsyncWorkers = n }
 }
 
 // WithSourceTimeout sets the polling deadline handed to sources by the
-// event engine (default 20ms).
+// event-driven engine (default 20ms).
 func WithSourceTimeout(d time.Duration) Option {
 	return func(c *Config) { c.SourceTimeout = d }
 }

@@ -17,7 +17,8 @@ import (
 func TestFlowConservationProperty(t *testing.T) {
 	f := func(nCases uint8, failMod uint8, engine uint8, withConstraint bool) bool {
 		cases := int(nCases%3) + 2
-		kind := EngineKind(engine % 3)
+		kinds := EngineKinds()
+		kind := kinds[int(engine)%len(kinds)]
 
 		var sb strings.Builder
 		sb.WriteString("Gen () => (int v);\nPre (int v) => (int v);\nPost (int v) => ();\n")

@@ -4,8 +4,9 @@ import "sync"
 
 // fifo is an unbounded FIFO queue with blocking pop, used for thread-pool
 // admission (flows queue when all workers are busy, §3.2.1) and for the
-// event engine's event queue (§3.2.2). A channel would impose a fixed
-// capacity; the paper's queues are unbounded.
+// event-driven engine's injection and async-offload queues (§3.2.2). A
+// channel would impose a fixed capacity; the paper's queues are
+// unbounded.
 //
 // Storage is a linked list of fixed-size chunks. Compared with a
 // compact-by-copy slice, a chunk ring never copies queued items to

@@ -1,8 +1,9 @@
 // Package runtime executes compiled Flux programs. It provides the three
 // runtime systems of §3.2 — one thread (goroutine) per flow, a fixed
-// thread pool with FIFO admission, and an event-driven engine with an
-// explicit event queue and asynchronous-I/O offload — behind a single
-// Server API, plus the reentrant reader-writer lock manager that
+// thread pool with FIFO admission, and an event-driven engine with
+// never-blocking dispatchers and asynchronous-I/O offload, at one
+// dispatcher (EventDriven) or one per core with work stealing
+// (WorkStealing) — behind a single Server API, plus the reentrant reader-writer lock manager that
 // implements atomicity constraints with two-phase, canonically ordered
 // acquisition (§2.5, §3.1.1).
 package runtime
@@ -36,9 +37,9 @@ var (
 
 	// ErrNoData tells the engine the source found nothing before its
 	// polling deadline; the engine re-issues the source later. Sources
-	// used with the event engine must poll with a deadline (the paper's
-	// select-with-timeout pattern, §4.2) and return ErrNoData on expiry
-	// so they never wedge the dispatcher.
+	// used with the event-driven engine must poll with a deadline (the
+	// paper's select-with-timeout pattern, §4.2) and return ErrNoData on
+	// expiry so they never wedge a dispatcher.
 	ErrNoData = errors.New("flux/runtime: no data before deadline")
 )
 

@@ -23,14 +23,17 @@ const (
 	// arriving when all workers are busy queue in FIFO order.
 	ThreadPool
 	// EventDriven runs every node activation as an event on a dispatcher
-	// that never blocks: blocking nodes are offloaded to an async-I/O
-	// pool and their continuations re-queued on completion (§3.2.2).
+	// that never blocks (§3.2.2): blocking nodes are offloaded to an
+	// async-I/O pool, whose worker carries the flow on from there. It
+	// defaults to one dispatcher, the paper's single-threaded event
+	// server.
 	EventDriven
-	// WorkStealing is the multicore evolution of EventDriven: one
-	// dispatcher per core (default GOMAXPROCS), each owning a local run
-	// deque — LIFO for the owner, stolen FIFO by idle peers — so
-	// throughput scales with dispatcher count instead of collapsing on
-	// the shared event queue's mutex.
+	// WorkStealing is the same engine with one dispatcher per core
+	// (default GOMAXPROCS), each owning a local run deque — LIFO for the
+	// owner, stolen FIFO by idle peers — so throughput scales with
+	// dispatcher count instead of collapsing on one queue's mutex.
+	// Config.withDefaults' dispatcher count is the only difference
+	// between the two kinds.
 	WorkStealing
 )
 
@@ -53,17 +56,17 @@ type Config struct {
 	// 4×GOMAXPROCS).
 	PoolSize int
 
-	// Dispatchers is the event-loop count for EventDriven (default 1,
-	// the paper's single-threaded event server) and the dispatcher count
-	// for WorkStealing (default GOMAXPROCS, one per core).
+	// Dispatchers is the event-loop count of the event-driven engine:
+	// default 1 for EventDriven, the paper's single-threaded event
+	// server, and GOMAXPROCS for WorkStealing, one per core.
 	Dispatchers int
 
-	// AsyncWorkers sizes the event engine's blocking-call offload pool
-	// (default 16).
+	// AsyncWorkers sizes the event-driven engine's blocking-call offload
+	// pool (default 16).
 	AsyncWorkers int
 
 	// SourceTimeout is the polling deadline handed to sources by the
-	// event engine (default 20ms). Larger values reproduce the
+	// event-driven engine (default 20ms). Larger values reproduce the
 	// low-concurrency latency "hiccup" of Figure 3 more visibly.
 	SourceTimeout time.Duration
 
@@ -580,8 +583,7 @@ type stepResult struct {
 }
 
 // callNode invokes an exec vertex's node function with observation and
-// arity validation. It performs no flow-state transition, so the event
-// engine can run it on an async worker while the dispatcher continues.
+// arity validation. It performs no flow-state transition of its own.
 func (s *Server) callNode(fl *Flow, tbl *graphTable, v *core.FlatNode, rec Record) (Record, error) {
 	info := &tbl.info[v.ID]
 	var t0 time.Time

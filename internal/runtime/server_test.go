@@ -72,7 +72,7 @@ func buildPipeline(t *testing.T, kind EngineKind, n int) (*Server, *[]int, *sync
 }
 
 func TestPipelineAllEngines(t *testing.T) {
-	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven} {
+	for _, kind := range EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			s, got, mu := buildPipeline(t, kind, 50)
 			if err := s.Run(context.Background()); err != nil {
@@ -148,7 +148,7 @@ handle error Risky => Handler;
 `
 
 func TestErrorHandlerInvoked(t *testing.T) {
-	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven} {
+	for _, kind := range EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := compileSrc(t, errorSrc)
 			var handled, sunk atomic.Int64
@@ -229,7 +229,7 @@ atomic Bump:{counter};
 // not serialize; without constraints the final count would also be lost
 // to races.
 func TestAtomicityConstraintSerializes(t *testing.T) {
-	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven} {
+	for _, kind := range EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := compileSrc(t, atomicSrc)
 			counter := 0 // deliberately unsynchronized
@@ -429,7 +429,7 @@ func contains(s, sub string) bool {
 }
 
 func TestContextCancelStopsSources(t *testing.T) {
-	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven} {
+	for _, kind := range EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := compileSrc(t, pipelineSrc)
 			b := NewBindings().

@@ -214,8 +214,8 @@ Input = Apply;
 	}
 }
 
-// TestStealEngineTimerNotStarvedByBusySource: the event engine's
-// fairness property must survive the move to per-dispatcher deques — a
+// TestStealEngineTimerNotStarvedByBusySource: the one-dispatcher
+// fairness property must hold across per-dispatcher deques too — a
 // saturating source on one dispatcher cannot starve an interval source
 // homed on another.
 func TestStealEngineTimerNotStarvedByBusySource(t *testing.T) {
