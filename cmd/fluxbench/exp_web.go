@@ -155,7 +155,7 @@ func writePathComparison(cfg benchConfig) error {
 				if err != nil {
 					return "", nil, err
 				}
-				cleanup = func() { os.RemoveAll(dir) }
+				cleanup = func() { files.Close(); os.RemoveAll(dir) }
 				if err := files.Materialize(dir); err != nil {
 					cleanup()
 					return "", nil, err

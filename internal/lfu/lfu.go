@@ -36,6 +36,12 @@ type Cache struct {
 	evict    evictHeap
 	seq      uint64
 
+	// free holds evicted entries for the next Put to reuse, and skipped
+	// is evictOne's scratch list of referenced entries, so a cache that
+	// turns over its contents allocates nothing per insert.
+	free    []*entry
+	skipped []*entry
+
 	// Counters are atomic so Stats can be sampled from a monitoring
 	// goroutine while flows mutate the cache under the Flux constraint.
 	hits, misses, evictions atomic.Uint64
@@ -74,7 +80,8 @@ func (c *Cache) Contains(key string) bool {
 // used zero-reference entries as needed. If the value cannot fit even
 // after evicting everything evictable, it is still stored (the cache
 // temporarily overcommits rather than thrash); inserted reports whether
-// the key was newly added.
+// the key was newly added. The cache keeps key, so it must not be a
+// view of a buffer the caller reuses.
 func (c *Cache) Put(key string, value []byte) (inserted bool) {
 	if e, ok := c.items[key]; ok {
 		// Concurrent flows can race to fill the same slot between
@@ -91,7 +98,14 @@ func (c *Cache) Put(key string, value []byte) (inserted bool) {
 		}
 	}
 	c.seq++
-	e := &entry{key: key, value: value, freq: 1, refs: 1, seq: c.seq, index: -1}
+	var e *entry
+	if n := len(c.free); n > 0 {
+		e = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		e = new(entry)
+	}
+	*e = entry{key: key, value: value, freq: 1, refs: 1, seq: c.seq, index: -1}
 	c.items[key] = e
 	c.used += need
 	heap.Push(&c.evict, e)
@@ -111,24 +125,27 @@ func (c *Cache) Release(key string) {
 // reporting false when every entry is referenced.
 func (c *Cache) evictOne() bool {
 	// Pop entries until one is evictable; re-push the referenced ones.
-	var skipped []*entry
-	defer func() {
-		for _, e := range skipped {
-			heap.Push(&c.evict, e)
-		}
-	}()
+	evicted := false
 	for c.evict.Len() > 0 {
 		e := heap.Pop(&c.evict).(*entry)
 		if e.refs > 0 {
-			skipped = append(skipped, e)
+			c.skipped = append(c.skipped, e)
 			continue
 		}
 		delete(c.items, e.key)
 		c.used -= int64(len(e.value))
 		c.evictions.Add(1)
-		return true
+		*e = entry{}
+		c.free = append(c.free, e)
+		evicted = true
+		break
 	}
-	return false
+	for i, e := range c.skipped {
+		heap.Push(&c.evict, e)
+		c.skipped[i] = nil
+	}
+	c.skipped = c.skipped[:0]
+	return evicted
 }
 
 // Len returns the number of cached entries.

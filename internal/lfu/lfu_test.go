@@ -207,3 +207,37 @@ func TestLockedCacheConcurrent(t *testing.T) {
 		t.Errorf("hits+misses = %d, want 1600", hits+misses)
 	}
 }
+
+// TestPutEvictZeroAllocs: a cache that turns its contents over — every
+// Put evicting, past a pinned entry it must skip — reuses the evicted
+// entries, so steady-state inserts allocate nothing.
+func TestPutEvictZeroAllocs(t *testing.T) {
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/k%d", i)
+	}
+	val := make([]byte, 10)
+	c := New(int64(8 * len(val))) // room for 8 of the 64 keys
+	c.Put("/pinned", val)         // never released: least used, yet unevictable
+	i := 0
+	put := func() {
+		k := keys[i%len(keys)]
+		i++
+		if _, ok := c.Get(k); !ok {
+			c.Put(k, val)
+		}
+		c.Release(k)
+	}
+	for range keys {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Errorf("Put with eviction allocates %v per insert", allocs)
+	}
+	if _, _, ev := c.Stats(); ev < 1000 {
+		t.Fatalf("only %d evictions: the cache did not turn over", ev)
+	}
+	if !c.Contains("/pinned") {
+		t.Fatal("the referenced entry was evicted")
+	}
+}

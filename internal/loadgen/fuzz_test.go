@@ -38,6 +38,7 @@ func FuzzCorpusPath(f *testing.F) {
 	if err := fs.Materialize(dir); err != nil {
 		f.Fatalf("Materialize: %v", err)
 	}
+	f.Cleanup(func() { fs.Close() })
 	f.Fuzz(func(t *testing.T, s string) {
 		var d, c, file int
 		_, err := fmt.Sscanf(s, "/dir%d/class%d_%d.html", &d, &c, &file)

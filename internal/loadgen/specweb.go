@@ -6,6 +6,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -27,12 +28,24 @@ import (
 type FileSet struct {
 	Dirs int
 
+	// paths is Path's rendering of every file, by file index, built once:
+	// a server keys its cache with these strings, which outlive the
+	// request buffers the looked-up paths came from.
+	paths []string
+
 	mu     sync.Mutex
 	bodies [][]byte // by file index; nil until Lookup asks for it
-	// names, once Materialize has run, are the on-disk files by file
-	// index: the sendfile(2) serving path streams large bodies from them
-	// instead of user-space memory.
-	names atomic.Pointer[[]string]
+	// disk, once Materialize has run, is the on-disk corpus: the
+	// sendfile(2) serving path streams large bodies from it instead of
+	// user-space memory.
+	disk atomic.Pointer[diskCorpus]
+}
+
+// diskCorpus is a materialized corpus, by file index: each file's name
+// and one read-only handle that every connection shares.
+type diskCorpus struct {
+	names []string
+	files []*os.File
 }
 
 // SPECweb99's four file classes: probability of selection and base size.
@@ -59,11 +72,23 @@ func NewFileSet(dirs int) *FileSet {
 	if dirs <= 0 {
 		dirs = 1
 	}
-	return &FileSet{Dirs: dirs, bodies: make([][]byte, dirs*filesPerDir)}
+	fs := &FileSet{Dirs: dirs, paths: make([]string, dirs*filesPerDir), bodies: make([][]byte, dirs*filesPerDir)}
+	for i := range fs.paths {
+		fs.paths[i] = renderPath(i/filesPerDir, i/9%4, i%9+1)
+	}
+	return fs
 }
 
-// Path renders the canonical URL path for (dir, class, file).
+// Path renders the canonical URL path for (dir, class, file); a file of
+// the corpus gets its one shared string.
 func (fs *FileSet) Path(dir, class, file int) string {
+	if dir >= 0 && dir < fs.Dirs && class >= 0 && class < 4 && file >= 1 && file <= 9 {
+		return fs.paths[dir*filesPerDir+class*9+file-1]
+	}
+	return renderPath(dir, class, file)
+}
+
+func renderPath(dir, class, file int) string {
 	return fmt.Sprintf("/dir%d/class%d_%d.html", dir, class, file)
 }
 
@@ -124,47 +149,100 @@ func (fs *FileSet) Lookup(path string) ([]byte, bool) {
 	return fs.bodies[i], true
 }
 
+// Resolve maps a URL path to its corpus file without reading or
+// synthesizing the body, or ok=false for paths outside the corpus. key
+// is the corpus's own copy of the path (see FileSet.paths). disk is the
+// materialized copy's shared read-only handle, nil before Materialize:
+// readers must leave its offset alone — ReadAt, or sendfile(2) at an
+// explicit offset — because every connection reads it at once.
+func (fs *FileSet) Resolve(path string) (key string, size int64, disk *os.File, ok bool) {
+	i, ok := fs.index(path)
+	if !ok {
+		return "", 0, nil, false
+	}
+	if d := fs.disk.Load(); d != nil {
+		disk = d.files[i]
+	}
+	return fs.paths[i], int64(fs.indexSize(i)), disk, true
+}
+
 // Materialize writes the whole corpus to dir — one flat file per URL
-// path, deterministic contents identical to Lookup's — so servers can
-// stream large static bodies with sendfile(2) instead of copying them
-// through user space. No body becomes resident: each file is synthesized
-// into one reused buffer and written out. Idempotent per FileSet; safe
-// to call before handing the set to servers and load generators (their
-// in-memory Lookup view is unchanged).
+// path, deterministic contents identical to Lookup's — and keeps one
+// read-only handle per file, so servers stream large static bodies with
+// sendfile(2) from shared handles instead of copying them through user
+// space or opening a file per request. No body becomes resident: each
+// file is synthesized into one reused buffer and written out. A FileSet
+// is materialized once: a second call is refused, and the handles stay
+// open until Close. Call it before handing the set to servers and load
+// generators (their in-memory Lookup view is unchanged).
 func (fs *FileSet) Materialize(dir string) error {
+	if fs.disk.Load() != nil {
+		return errMaterialized
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	names := make([]string, len(fs.bodies))
+	d := &diskCorpus{names: make([]string, len(fs.bodies)), files: make([]*os.File, 0, len(fs.bodies))}
 	buf := make([]byte, classes[3].Base*9)
-	for i := range names {
-		urlPath := fs.Path(i/filesPerDir, i/9%4, i%9+1)
-		names[i] = filepath.Join(dir, diskName(urlPath))
+	for i := range d.names {
+		urlPath := fs.paths[i]
+		d.names[i] = filepath.Join(dir, diskName(urlPath))
 		body := synthesize(buf[:fs.indexSize(i)], urlPath)
-		if err := os.WriteFile(names[i], body, 0o644); err != nil {
+		err := os.WriteFile(d.names[i], body, 0o644)
+		var f *os.File
+		if err == nil {
+			f, err = os.Open(d.names[i])
+		}
+		if err != nil {
+			d.close()
 			return err
 		}
+		d.files = append(d.files, f)
 	}
-	fs.names.Store(&names)
+	if !fs.disk.CompareAndSwap(nil, d) {
+		d.close()
+		return errMaterialized
+	}
 	return nil
+}
+
+var errMaterialized = errors.New("loadgen: corpus already materialized")
+
+// Close releases a materialized corpus's file handles; the files stay
+// on disk and DiskPath and Resolve stop reporting them. Call it only once
+// no server is sending from the set.
+func (fs *FileSet) Close() error {
+	if d := fs.disk.Swap(nil); d != nil {
+		return d.close()
+	}
+	return nil
+}
+
+func (d *diskCorpus) close() error {
+	var first error
+	for _, f := range d.files {
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // DiskPath maps a corpus URL path to its materialized on-disk file and
 // size, or ok=false when the corpus is not materialized or the path is
 // outside it. Both come from the path alone: no body is read or
-// synthesized, and the name was built once by Materialize. Callers open
-// the file per request: sendfile advances the descriptor's offset, so a
-// shared handle cannot serve concurrently.
+// synthesized, and the name was built once by Materialize. Servers send
+// from Resolve's shared handle instead of opening the name.
 func (fs *FileSet) DiskPath(path string) (name string, size int64, ok bool) {
-	names := fs.names.Load()
-	if names == nil {
+	d := fs.disk.Load()
+	if d == nil {
 		return "", 0, false
 	}
 	i, ok := fs.index(path)
 	if !ok {
 		return "", 0, false
 	}
-	return (*names)[i], int64(fs.indexSize(i)), true
+	return d.names[i], int64(fs.indexSize(i)), true
 }
 
 // diskName flattens a corpus URL path into a single file name.

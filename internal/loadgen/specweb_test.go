@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFileSetLookup(t *testing.T) {
@@ -351,6 +352,7 @@ func TestMaterializeDiskPath(t *testing.T) {
 	if err := fs.Materialize(dir); err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
+	t.Cleanup(func() { fs.Close() })
 	if n := fs.resident(); n != 0 {
 		t.Fatalf("%d bodies resident after Materialize, want 0", n)
 	}
@@ -378,5 +380,77 @@ func TestMaterializeDiskPath(t *testing.T) {
 	}
 	if _, _, ok := fs.DiskPath("/outside/corpus.html"); ok {
 		t.Fatal("DiskPath ok for a path outside the corpus")
+	}
+}
+
+// openFDs counts this process's open descriptors, or -1 where /proc is
+// not mounted.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// TestMaterializeSharedHandles: Resolve hands out the corpus's own path
+// string and, once materialized, one shared read-only handle per file
+// holding Lookup's bytes. A second Materialize is refused without
+// opening anything, and Close releases the handles.
+func TestMaterializeSharedHandles(t *testing.T) {
+	fs := NewFileSet(1)
+	p := fs.Path(0, 3, 9)
+	if key, _, disk, ok := fs.Resolve(string(append([]byte(nil), p...))); !ok || disk != nil ||
+		unsafe.StringData(key) != unsafe.StringData(p) {
+		t.Fatalf("Resolve before Materialize = %q %v %v, want the interned path and no handle", key, disk, ok)
+	}
+	if err := fs.Materialize(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	handles := map[*os.File]bool{}
+	for c := 0; c < 4; c++ {
+		for file := 1; file <= 9; file++ {
+			key, size, disk, ok := fs.Resolve(fs.Path(0, c, file))
+			if !ok || disk == nil {
+				t.Fatalf("%s: no handle after Materialize", key)
+			}
+			want, _ := fs.Lookup(key)
+			got := make([]byte, size)
+			if _, err := disk.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: handle reads %d bytes (%v), want Lookup's %d", key, len(got), err, len(want))
+			}
+			handles[disk] = true
+		}
+	}
+	if len(handles) != filesPerDir {
+		t.Fatalf("%d distinct handles, want one per file (%d)", len(handles), filesPerDir)
+	}
+
+	before := openFDs()
+	again := t.TempDir()
+	if err := fs.Materialize(again); err == nil {
+		t.Fatal("second Materialize accepted")
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("refused Materialize changed the open descriptors from %d to %d", before, after)
+	}
+	if ents, _ := os.ReadDir(again); len(ents) != 0 {
+		t.Fatalf("refused Materialize wrote %d files", len(ents))
+	}
+	if _, _, disk, _ := fs.Resolve(p); !handles[disk] {
+		t.Fatal("refused Materialize replaced a handle")
+	}
+
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, disk, _ := fs.Resolve(p); disk != nil {
+		t.Fatal("Resolve reports a handle after Close")
+	}
+	if _, _, ok := fs.DiskPath(p); ok {
+		t.Fatal("DiskPath ok after Close")
+	}
+	if before >= 0 && openFDs() != before-filesPerDir {
+		t.Fatalf("Close left descriptors open: %d, want %d", openFDs(), before-filesPerDir)
 	}
 }

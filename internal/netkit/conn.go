@@ -23,6 +23,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -31,7 +32,7 @@ import (
 const readerSize = 4096
 
 var (
-	connPool   = sync.Pool{New: func() any { return new(Conn) }}
+	connPool   = sync.Pool{New: func() any { return newPooledConn() }}
 	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
 )
 
@@ -60,6 +61,19 @@ type Conn struct {
 	vec     net.Buffers
 	vecBack [2][]byte
 
+	// rec is the record {c} every flow on the connection is admitted
+	// with (FluxPlane's Inject and Continue). Its content never changes
+	// while the Conn is live, and a connection has one flow at a time,
+	// so the flows share it instead of allocating one each.
+	rec [1]any
+
+	// rc is the TCP connection's RawConn, fetched on the connection's
+	// first SendFile. sendStep is the send loop's step bound once per
+	// pooled Conn and sf its arguments, so the loop allocates nothing.
+	rc       syscall.RawConn
+	sendStep func(fd uintptr) bool
+	sf       sendfileArgs
+
 	// Served counts requests answered on this connection; the owner
 	// increments it to enforce keep-alive caps.
 	Served int
@@ -68,6 +82,13 @@ type Conn struct {
 	// state to the pools, so a plane sweep racing the owning flow's own
 	// close cannot double-recycle.
 	closed atomic.Bool
+}
+
+// newPooledConn builds the part of a Conn that survives recycling.
+func newPooledConn() *Conn {
+	c := new(Conn)
+	c.rec[0] = c
+	return c
 }
 
 // newConn wraps an accepted connection in pooled state.
@@ -162,37 +183,53 @@ func (c *Conn) WriteVec(head, body []byte) error {
 	return nil
 }
 
-// SendFile writes head, then streams size bytes from f straight to the
-// socket. On a TCP connection the body moves with sendfile(2) via
-// TCPConn.ReadFrom — the bytes never enter user space — and elsewhere
-// it degrades to io.Copy. Like WriteVec, a short transfer tears the
-// transport down so the conn cannot be reused mid-frame.
+// SendFile writes head, then bytes [0, size) of f, as one response
+// frame. On a TCP connection the head is queued with sendmsg(MSG_MORE)
+// so it leaves in the body's first segment, and the body moves with
+// sendfile(2) at explicit offsets — the bytes never enter user space,
+// and f's own offset is neither read nor moved, so one handle serves
+// every connection at once. Elsewhere the body is copied with ReadAt.
+// Like WriteVec, a short transfer tears the transport down so the conn
+// cannot be reused mid-frame.
 func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 	c.armWriteDeadline()
-	if len(head) > 0 {
-		if n, err := c.nc.Write(head); err != nil {
-			_ = c.nc.Close()
-			return c.countTimeout(fmt.Errorf("netkit: sendfile header %d/%d bytes: %w", n, len(head), err))
-		}
-	}
-	// An *io.LimitedReader wrapping an *os.File is the shape
-	// TCPConn.ReadFrom recognizes for sendfile(2).
-	lr := io.LimitedReader{R: f, N: size}
-	var n int64
+	var sent int64
 	var err error
 	if tc, ok := c.nc.(*net.TCPConn); ok {
-		n, err = tc.ReadFrom(&lr)
+		sent, err = c.sendfileTCP(tc, head, f, size)
 	} else {
-		n, err = io.Copy(c.nc, &lr)
-	}
-	if err == nil && n != size {
-		err = io.ErrShortWrite
+		sent, err = c.sendCopy(head, f, size)
 	}
 	if err != nil {
 		_ = c.nc.Close()
-		return c.countTimeout(fmt.Errorf("netkit: sendfile body %d/%d bytes: %w", n, size, err))
+		return c.countTimeout(fmt.Errorf("netkit: sendfile %d/%d bytes: %w", sent, int64(len(head))+size, err))
 	}
 	return nil
+}
+
+// sendfileArgs carries one SendFile through sendfileStep.
+type sendfileArgs struct {
+	head     []byte // head bytes not yet sent
+	fd       int    // the file's descriptor
+	off, end int64  // body bytes [off, end) not yet sent
+	sent     int64
+	err      error
+}
+
+// sendCopy is SendFile on a transport without sendfile(2).
+func (c *Conn) sendCopy(head []byte, f *os.File, size int64) (int64, error) {
+	var n int
+	if len(head) > 0 {
+		var err error
+		if n, err = c.nc.Write(head); err != nil {
+			return int64(n), err
+		}
+	}
+	m, err := io.Copy(c.nc, io.NewSectionReader(f, 0, size))
+	if err == nil && m != size {
+		err = io.ErrUnexpectedEOF
+	}
+	return int64(n) + m, err
 }
 
 // SetReadDeadline bounds reads through the connection (including the
@@ -218,6 +255,7 @@ func (c *Conn) Close() error {
 	c.br = nil
 	c.nc = nil
 	c.plane = nil
+	c.rc = nil
 	c.Served = 0
 	br.Reset(nil) // drop the conn reference before pooling the buffer
 	readerPool.Put(br)

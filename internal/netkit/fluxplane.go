@@ -42,7 +42,7 @@ func NewFluxPlane(rt *runtime.Server, source string, cfg Config) (*FluxPlane, er
 // admit injects a fresh connection into the graph — the only way flows
 // enter a plane-fronted server.
 func (fp *FluxPlane) admit(c *Conn) error {
-	return fp.src.Inject(runtime.Record{c})
+	return fp.src.Inject(c.rec[:])
 }
 
 // AdmitDialed adopts an outbound connection the server dialed itself
@@ -62,7 +62,7 @@ func (fp *FluxPlane) AdmitDialed(nc net.Conn) error {
 // draining) drops the connection through the plane, which counts and
 // reports it.
 func (fp *FluxPlane) Continue(fl *runtime.Flow, c *Conn) {
-	if err := fp.src.Continue(fl, runtime.Record{c}); err != nil {
+	if err := fp.src.Continue(fl, c.rec[:]); err != nil {
 		fp.plane.DropConn(c, "closed")
 	}
 }

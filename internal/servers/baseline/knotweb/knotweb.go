@@ -130,16 +130,19 @@ func (s *Server) Run(ctx context.Context) error {
 }
 
 // serveConn runs one connection's keep-alive conversation start to
-// finish on its own goroutine: read, look up or render, respond.
+// finish on its own goroutine: read, look up or render, respond. Each
+// request is parsed into the goroutine's one Request, so the next is
+// read only after the current response is written.
 func (s *Server) serveConn(c *netkit.Conn) {
 	defer c.Close()
+	var req httpkit.Request
 	for c.Served < s.cfg.MaxKeepAlive {
-		req, err := httpkit.ReadRequest(c.Reader())
-		if err != nil {
+		if err := httpkit.ReadRequest(c.Reader(), &req); err != nil {
 			return
 		}
 		closing := !req.KeepAlive || c.Served+1 >= s.cfg.MaxKeepAlive
 		var body httpkit.Body
+		var err error
 		ok := true
 		if req.Dynamic() {
 			if body, err = httpkit.RenderDynamic(s.pages, &req, int64(s.cfg.ScriptWork)); err != nil {
@@ -161,18 +164,18 @@ func (s *Server) serveConn(c *netkit.Conn) {
 }
 
 // lookup returns a static path's body from the response cache or, on a
-// miss, httpkit.StaticBody's choice: bytes are cached, a large
-// materialized file is streamed from disk and never cached. false for
-// unknown paths.
+// miss, httpkit.StaticBody's choice: bytes are cached under the
+// corpus's key, a large materialized file is streamed from disk and
+// never cached. false for unknown paths.
 func (s *Server) lookup(path string) (httpkit.Body, bool) {
 	if cached, ok := s.cache.Get(path); ok {
 		s.cache.Release(path)
 		return httpkit.Body{Bytes: cached}, true
 	}
-	body, ok := httpkit.StaticBody(s.cfg.Files, path)
+	body, key, ok := httpkit.StaticBody(s.cfg.Files, path)
 	if body.Bytes != nil {
-		s.cache.Put(path, body.Bytes)
-		s.cache.Release(path)
+		s.cache.Put(key, body.Bytes)
+		s.cache.Release(key)
 	}
 	return body, ok
 }

@@ -52,7 +52,10 @@ type Config struct {
 }
 
 // event is the unit passed between stages: one connection, its current
-// request, and the response body the stages chose for it.
+// request, and the response body the stages chose for it. An event
+// lives as long as its connection and parses every request into req, so
+// the read stage sees a connection again only after its response is
+// written.
 type event struct {
 	conn *netkit.Conn
 	req  httpkit.Request
@@ -191,12 +194,10 @@ func (s *Server) enqueue(q chan *event, ev *event) {
 }
 
 func (s *Server) readStage(ev *event) {
-	req, err := httpkit.ReadRequest(ev.conn.Reader())
-	if err != nil {
+	if err := httpkit.ReadRequest(ev.conn.Reader(), &ev.req); err != nil {
 		ev.conn.Close()
 		return
 	}
-	ev.req = req
 	s.enqueue(s.lookQ, ev)
 }
 
@@ -224,15 +225,15 @@ func (s *Server) fileStage(ev *event) {
 		ev.body = body
 	} else {
 		// A large materialized file streams from disk and skips the cache.
-		body, ok := httpkit.StaticBody(s.cfg.Files, ev.req.Path)
+		body, key, ok := httpkit.StaticBody(s.cfg.Files, ev.req.Path)
 		if !ok {
 			_ = httpkit.NotFound(ev.conn)
 			ev.conn.Close()
 			return
 		}
 		if body.Bytes != nil {
-			s.cache.Put(ev.req.Path, body.Bytes)
-			s.cache.Release(ev.req.Path)
+			s.cache.Put(key, body.Bytes)
+			s.cache.Release(key)
 		}
 		ev.body = body
 	}

@@ -18,6 +18,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/netkit"
@@ -42,27 +45,42 @@ const (
 const SendfileThreshold = 64 << 10
 
 // StaticBody picks the body a static path is answered with: the
-// materialized file, streamed with sendfile(2), for a corpus file of at
-// least SendfileThreshold bytes, otherwise the corpus bytes from Lookup;
-// false for a path outside the corpus. The choice reads only the path,
-// so a large materialized file's bytes never enter the server's memory.
+// materialized file's shared handle, streamed with sendfile(2), for a
+// corpus file of at least SendfileThreshold bytes, otherwise the corpus
+// bytes from Lookup; false for a path outside the corpus. The choice
+// reads only the path, so a large materialized file's bytes never enter
+// the server's memory. key is the corpus's own copy of the path: path
+// may be a view of a reused request buffer, so caches key with key.
 // Every web server answers static paths through it, and only a Bytes
 // body is ever cached.
-func StaticBody(files *loadgen.FileSet, path string) (Body, bool) {
-	if name, size, ok := files.DiskPath(path); ok && size >= SendfileThreshold {
-		return Body{File: name, Size: size}, true
+func StaticBody(files *loadgen.FileSet, path string) (body Body, key string, ok bool) {
+	key, size, disk, ok := files.Resolve(path)
+	if !ok {
+		return Body{}, "", false
 	}
-	b, ok := files.Lookup(path)
-	return Body{Bytes: b}, ok
+	if disk != nil && size >= SendfileThreshold {
+		return Body{File: disk, Size: size}, key, true
+	}
+	b, _ := files.Lookup(key)
+	return Body{Bytes: b}, key, true
 }
 
-// Request is one parsed request.
+// Request is one parsed request. A server keeps one per connection (or
+// per flow) and parses into it again and again: Path and Query are
+// views of a buffer the Request owns, valid until the next ReadRequest
+// into it, so a server reads a connection's next request only after the
+// current response is written.
 type Request struct {
 	Method    string // GET or POST
 	Path      string
 	Query     string
 	Body      []byte // a POST's payload; other declared bodies are consumed and dropped
 	KeepAlive bool   // the client did not ask to close
+
+	// target holds the request target that Path and Query view, and
+	// spills a line longer than the reader's buffer.
+	target []byte
+	body   []byte // backs Body
 }
 
 // Dynamic reports whether the request is answered by a rendered page —
@@ -72,96 +90,155 @@ func (r *Request) Dynamic() bool {
 }
 
 // ReadRequest reads one request — request line, headers, and the
-// Content-Length-delimited body — from br. It is the framing step of
-// every keep-alive round: after a successful return br is positioned
-// exactly at the next request. Only GET and POST over HTTP/1.x are
-// accepted; anything else, or anything past the caps, is an error and
-// the caller drops the connection without a response.
-func ReadRequest(br *bufio.Reader) (Request, error) {
-	line, err := readLine(br)
+// Content-Length-delimited body — from br into r, reusing r's buffers:
+// a request that fits the reader's buffer is parsed without allocating.
+// It is the framing step of every keep-alive round: after a successful
+// return br is positioned exactly at the next request. Only GET and
+// POST over HTTP/1.x are accepted; anything else, or anything past the
+// caps, is an error and the caller drops the connection without a
+// response.
+func ReadRequest(br *bufio.Reader, r *Request) error {
+	*r = Request{target: r.target[:0], body: r.body}
+	line, err := readLine(br, &r.target)
 	if err != nil {
-		return Request{}, err // EOF, reset, timeout, or oversized
+		return err // EOF, reset, timeout, or oversized
 	}
-	fields := strings.Fields(line)
-	if len(fields) != 3 {
-		return Request{}, fmt.Errorf("httpkit: malformed request line %q", line)
+	method, target, proto, ok := requestFields(line)
+	if !ok {
+		return fmt.Errorf("httpkit: malformed request line %q", line)
 	}
-	r := Request{Method: fields[0]}
-	if r.Method != "GET" && r.Method != "POST" {
-		return Request{}, fmt.Errorf("httpkit: unsupported method %q", r.Method)
+	switch string(method) {
+	case "GET":
+		r.Method = "GET"
+	case "POST":
+		r.Method = "POST"
+	default:
+		return fmt.Errorf("httpkit: unsupported method %q", method)
 	}
-	if !strings.HasPrefix(fields[2], "HTTP/1.") {
-		return Request{}, fmt.Errorf("httpkit: unsupported protocol %q", fields[2])
+	if !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
+		return fmt.Errorf("httpkit: unsupported protocol %q", proto)
 	}
-	r.Path, r.Query, _ = strings.Cut(fields[1], "?")
-	keepAlive, contentLen, err := readHeaders(br)
+	// The one copy: the target moves to the front of r.target (it may
+	// already be in there, spilled, which copy's overlap rule allows).
+	r.target = append(r.target[:0], target...)
+	keepAlive, contentLen, err := readHeaders(br, &r.target)
 	if err != nil {
-		return Request{}, err
+		return err
 	}
 	r.KeepAlive = keepAlive
+	t := unsafe.String(&r.target[0], len(r.target))
+	r.Path, r.Query, _ = strings.Cut(t, "?")
 	// Consume the declared body whatever the method, so keep-alive
 	// framing survives; only POSTs keep it.
-	body, err := readBody(br, contentLen)
-	if err != nil {
-		return Request{}, err
+	if contentLen == 0 {
+		return nil
 	}
-	if r.Method == "POST" {
-		r.Body = body
+	if r.Method != "POST" {
+		_, err := br.Discard(contentLen)
+		return err
 	}
-	return r, nil
+	if cap(r.body) < contentLen {
+		r.body = make([]byte, contentLen)
+	}
+	if _, err := io.ReadFull(br, r.body[:contentLen]); err != nil {
+		return err
+	}
+	r.Body = r.body[:contentLen]
+	return nil
 }
 
 // readLine reads one \n-terminated line, refusing lines longer than
 // MaxLineBytes: unlike bufio.Reader.ReadString, a hostile stream with
-// no newline fails at the cap instead of accumulating without bound.
-func readLine(br *bufio.Reader) (string, error) {
-	var sb strings.Builder
+// no newline fails at the cap instead of accumulating without bound. A
+// line that fits br's buffer is returned in place, valid until the next
+// read; a longer one is appended to *spill, whose bytes are kept.
+func readLine(br *bufio.Reader, spill *[]byte) ([]byte, error) {
+	frag, err := br.ReadSlice('\n')
+	if err == nil && len(frag) <= MaxLineBytes {
+		return frag, nil
+	}
+	mark := len(*spill)
 	for {
-		frag, err := br.ReadSlice('\n')
-		sb.Write(frag)
-		if sb.Len() > MaxLineBytes {
-			return "", fmt.Errorf("httpkit: line exceeds %d bytes", MaxLineBytes)
+		*spill = append(*spill, frag...)
+		if len(*spill)-mark > MaxLineBytes {
+			*spill = (*spill)[:mark]
+			return nil, fmt.Errorf("httpkit: line exceeds %d bytes", MaxLineBytes)
 		}
 		if err == nil {
-			return sb.String(), nil
+			return (*spill)[mark:], nil
 		}
 		if err != bufio.ErrBufferFull {
-			return "", err
+			*spill = (*spill)[:mark]
+			return nil, err
 		}
+		frag, err = br.ReadSlice('\n')
 	}
+}
+
+// requestFields splits a request line into its three space-separated
+// fields, with strings.Fields' notion of space; false unless there are
+// exactly three.
+func requestFields(line []byte) (method, target, proto []byte, ok bool) {
+	var f [3][]byte
+	n := 0
+	for i := skip(line, 0, true); i < len(line); n++ {
+		if n == len(f) {
+			return nil, nil, nil, false
+		}
+		j := skip(line, i, false)
+		f[n] = line[i:j]
+		i = skip(line, j, true)
+	}
+	return f[0], f[1], f[2], n == len(f)
+}
+
+// skip returns the index of the first rune at or after i that is space
+// when space is false, or not space when it is true.
+func skip(line []byte, i int, space bool) int {
+	for i < len(line) {
+		r, w := utf8.DecodeRune(line[i:])
+		if unicode.IsSpace(r) != space {
+			break
+		}
+		i += w
+	}
+	return i
 }
 
 // readHeaders consumes header lines through the terminating blank line,
 // honoring the two headers these servers speak: `Connection: close` and
 // `Content-Length` (validated against MaxBodyBytes). Line length and
-// header count are both capped.
-func readHeaders(br *bufio.Reader) (keepAlive bool, contentLen int, err error) {
+// header count are both capped. A long line spills into *spill past its
+// current bytes, which are kept.
+func readHeaders(br *bufio.Reader, spill *[]byte) (keepAlive bool, contentLen int, err error) {
 	keepAlive = true
 	sawContentLen := false
+	mark := len(*spill)
 	for n := 0; ; n++ {
 		if n >= MaxHeaderLines {
 			return false, 0, fmt.Errorf("httpkit: more than %d header lines", MaxHeaderLines)
 		}
-		h, err := readLine(br)
+		h, err := readLine(br, spill)
 		if err != nil {
 			return false, 0, err
 		}
-		h = strings.TrimSpace(h)
-		if h == "" {
+		*spill = (*spill)[:mark] // h stays readable until the next readLine
+		h = bytes.TrimSpace(h)
+		if len(h) == 0 {
 			return keepAlive, contentLen, nil
 		}
-		k, v, ok := strings.Cut(h, ":")
+		k, v, ok := bytes.Cut(h, []byte(":"))
 		if !ok {
 			continue
 		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+		k, v = bytes.TrimSpace(k), bytes.TrimSpace(v)
 		switch {
-		case strings.EqualFold(k, "Connection"):
-			if strings.EqualFold(v, "close") {
+		case bytes.EqualFold(k, []byte("Connection")):
+			if bytes.EqualFold(v, []byte("close")) {
 				keepAlive = false
 			}
-		case strings.EqualFold(k, "Content-Length"):
-			cl, err := strconv.Atoi(v)
+		case bytes.EqualFold(k, []byte("Content-Length")):
+			cl, err := strconv.Atoi(string(v))
 			if err != nil || cl < 0 {
 				return false, 0, fmt.Errorf("httpkit: bad content length %q", v)
 			}
@@ -181,19 +258,6 @@ func readHeaders(br *bufio.Reader) (keepAlive bool, contentLen int, err error) {
 	}
 }
 
-// readBody consumes a Content-Length-delimited body (nil when none is
-// declared). readHeaders has already validated the length.
-func readBody(br *bufio.Reader, contentLen int) ([]byte, error) {
-	if contentLen <= 0 {
-		return nil, nil
-	}
-	body := make([]byte, contentLen)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
 // Body is what a response carries: a static body (Bytes), a
 // materialized file (File and Size), or a page from RenderDynamic.
 type Body struct {
@@ -201,9 +265,10 @@ type Body struct {
 	// corpus file, a cached compression): its header is interned and
 	// both go out in one writev(2), never copied.
 	Bytes []byte
-	// File names a materialized file of Size bytes, streamed with
-	// sendfile(2) so the bytes never enter user space.
-	File string
+	// File is a materialized file's shared handle, of which bytes
+	// [0, Size) are streamed with sendfile(2) so they never enter user
+	// space. Its offset is never moved.
+	File *os.File
 	Size int64
 	// page is a rendered page in a pooled buffer. Its length depends on
 	// the request — a POST confirmation echoes the path — so its header
@@ -247,13 +312,8 @@ func Respond(c *netkit.Conn, code int, status, ctype string, body Body, last boo
 		err := c.WriteVec(buf.B[n:], buf.B[:n])
 		fscript.PutBuf(buf)
 		return err
-	case body.File != "":
-		f, err := os.Open(body.File)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return c.SendFile(StaticHeader(code, status, ctype, int(body.Size), last), f, body.Size)
+	case body.File != nil:
+		return c.SendFile(StaticHeader(code, status, ctype, int(body.Size), last), body.File, body.Size)
 	default:
 		return c.WriteVec(StaticHeader(code, status, ctype, len(body.Bytes), last), body.Bytes)
 	}

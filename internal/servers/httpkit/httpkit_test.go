@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/netkit"
@@ -57,7 +58,8 @@ func TestWithCloseHeader(t *testing.T) {
 func TestReadHeadersDuplicateContentLength(t *testing.T) {
 	read := func(headers string) (bool, int, error) {
 		br := bufio.NewReader(strings.NewReader(headers))
-		return readHeaders(br)
+		var spill []byte
+		return readHeaders(br, &spill)
 	}
 	if _, _, err := read("Content-Length: 5\r\nContent-Length: 6\r\n\r\n"); err == nil {
 		t.Error("conflicting Content-Length headers accepted")
@@ -143,11 +145,16 @@ func TestRespondWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	static := bytes.Repeat([]byte("s"), 1000)
-	file := filepath.Join(t.TempDir(), "large")
+	name := filepath.Join(t.TempDir(), "large")
 	large := bytes.Repeat([]byte("f"), SendfileThreshold)
-	if err := os.WriteFile(file, large, 0o644); err != nil {
+	if err := os.WriteFile(name, large, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	file, err := os.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
 	page, err := pages.Render("/dynamic", "n=10", 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -231,27 +238,36 @@ func BenchmarkStaticResponseWrite(b *testing.B) {
 }
 
 // TestStaticBody: a materialized file of at least SendfileThreshold is
-// sent from disk, anything smaller — or any file of an unmaterialized
-// corpus — as the corpus bytes, and a path outside the corpus is
-// unknown. Choosing allocates nothing once a small body is resident.
+// sent from its shared disk handle, anything smaller — or any file of an
+// unmaterialized corpus — as the corpus bytes, and a path outside the
+// corpus is unknown. The key is the corpus's own path string, not the
+// caller's. Choosing allocates nothing once a small body is resident.
 func TestStaticBody(t *testing.T) {
 	files := loadgen.NewFileSet(1)
 	small, large := files.Path(0, 1, 2), files.Path(0, 3, 9)
-	if b, ok := StaticBody(files, large); !ok || b.File != "" || len(b.Bytes) != files.Size(3, 9) {
-		t.Fatalf("unmaterialized large file: %+v %v, want its bytes", b.File, ok)
+	if b, _, ok := StaticBody(files, large); !ok || b.File != nil || len(b.Bytes) != files.Size(3, 9) {
+		t.Fatalf("unmaterialized large file: %v %v, want its bytes", b.File, ok)
 	}
 	files = loadgen.NewFileSet(1)
 	if err := files.Materialize(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := StaticBody(files, large); !ok || b.File == "" || b.Size != int64(files.Size(3, 9)) || b.Bytes != nil {
-		t.Fatalf("materialized large file: %q size %d bytes %d %v, want the file", b.File, b.Size, len(b.Bytes), ok)
+	defer files.Close()
+	small, large = files.Path(0, 1, 2), files.Path(0, 3, 9)
+	b, key, ok := StaticBody(files, large)
+	if _, _, disk, _ := files.Resolve(large); !ok || b.File == nil || b.File != disk || b.Size != int64(files.Size(3, 9)) || b.Bytes != nil {
+		t.Fatalf("materialized large file: %v size %d bytes %d %v, want the shared handle", b.File, b.Size, len(b.Bytes), ok)
+	}
+	if unsafe.StringData(key) != unsafe.StringData(large) {
+		t.Fatalf("key %q is not the corpus's own path string", key)
 	}
 	want, _ := files.Lookup(small)
-	if b, ok := StaticBody(files, small); !ok || b.File != "" || !bytes.Equal(b.Bytes, want) {
-		t.Fatalf("small file: %q %d bytes %v, want its bytes", b.File, len(b.Bytes), ok)
+	copied := string(append([]byte(nil), small...))
+	if b, key, ok := StaticBody(files, copied); !ok || b.File != nil || !bytes.Equal(b.Bytes, want) ||
+		unsafe.StringData(key) != unsafe.StringData(small) {
+		t.Fatalf("small file: %v %d bytes %v key %q, want its bytes under the corpus's key", b.File, len(b.Bytes), ok, key)
 	}
-	if _, ok := StaticBody(files, "/dir0/class1_02.html"); ok {
+	if _, _, ok := StaticBody(files, "/dir0/class1_02.html"); ok {
 		t.Fatal("non-canonical path resolved")
 	}
 	for _, path := range []string{small, large} {
@@ -269,6 +285,7 @@ func BenchmarkStaticBody(b *testing.B) {
 	if err := files.Materialize(b.TempDir()); err != nil {
 		b.Fatal(err)
 	}
+	defer files.Close()
 	for _, bc := range []struct{ name, path string }{
 		{"cached", files.Path(0, 1, 2)},
 		{"sendfile", files.Path(0, 3, 9)},
@@ -278,7 +295,7 @@ func BenchmarkStaticBody(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := StaticBody(files, bc.path); !ok {
+				if _, _, ok := StaticBody(files, bc.path); !ok {
 					b.Fatal("unknown path")
 				}
 			}

@@ -1,7 +1,7 @@
 package webserver
 
-// The cross-server wire-parity test: the Flux web server (on two
-// engines) and the two hand-written baselines must put byte-identical
+// The cross-server wire-parity test: the Flux web server (on every
+// engine) and the two hand-written baselines must put byte-identical
 // responses on the wire for the same raw request streams, valid and
 // hostile alike, so the Figure 3 comparison measures scheduling and
 // nothing else.
@@ -39,25 +39,25 @@ type parityTarget struct {
 	make func() (parityServer, error)
 }
 
-// parityTargets are the four servers under comparison; each case builds
-// a fresh one, so the ad-rotation counter starts from the same state.
+// parityTargets are the servers under comparison: the Flux web server
+// on every engine, then the two baselines. Each case builds a fresh
+// one, so the ad-rotation counter starts from the same state.
 func parityTargets(files *loadgen.FileSet) []parityTarget {
-	flux := func(kind runtime.EngineKind) func() (parityServer, error) {
-		return func() (parityServer, error) {
+	var targets []parityTarget
+	for _, kind := range runtime.EngineKinds() {
+		targets = append(targets, parityTarget{"flux-" + kind.String(), func() (parityServer, error) {
 			return New(Config{Files: files, Engine: kind, PoolSize: 4,
 				SourceTimeout: 2 * time.Millisecond, MaxKeepAlive: parityKeepAlive})
-		}
+		}})
 	}
-	return []parityTarget{
-		{"flux-threadpool", flux(runtime.ThreadPool)},
-		{"flux-steal", flux(runtime.WorkStealing)},
-		{"knot-like", func() (parityServer, error) {
+	return append(targets,
+		parityTarget{"knot-like", func() (parityServer, error) {
 			return knotweb.New(knotweb.Config{Files: files, MaxKeepAlive: parityKeepAlive})
 		}},
-		{"haboob-like", func() (parityServer, error) {
+		parityTarget{"haboob-like", func() (parityServer, error) {
 			return sedaweb.New(sedaweb.Config{Files: files, MaxKeepAlive: parityKeepAlive})
 		}},
-	}
+	)
 }
 
 // exchange writes raw to a fresh connection and returns every byte the
@@ -113,6 +113,7 @@ func TestWireParityAcrossServers(t *testing.T) {
 	if err := files.Materialize(t.TempDir()); err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	const closing = "Connection: close\r\n"
 	get := func(path, extra string) string {
 		return fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n", path, extra)
@@ -145,6 +146,22 @@ func TestWireParityAcrossServers(t *testing.T) {
 		cases = append(cases, parityCase{fmt.Sprintf("static class %d", class), get(path, closing), &want})
 	}
 	capped := strings.Repeat(rendered(static, false), parityKeepAlive-1) + rendered(static, true)
+	// Every server parses a connection's requests into buffers it reuses,
+	// so it may read the next request only after the current response is
+	// written: pipelined requests for different files, one past the
+	// reader's 4 KB buffer, must still be answered each with its own file.
+	var distinct, distinctWant string
+	for class := 0; class < 4; class++ {
+		path, last := files.Path(0, class, class+1), class == 3
+		extra := ""
+		if last {
+			extra = closing
+		}
+		distinct += get(path, extra)
+		distinctWant += rendered(path, last)
+	}
+	longLine := get(files.Path(0, 0, 1)+"?"+strings.Repeat("q", 5000), "") + get(static, closing)
+	longWant := rendered(files.Path(0, 0, 1), false) + rendered(static, true)
 	cases = append(cases,
 		parityCase{"404", get("/no/such/file", ""), &notFound},
 		parityCase{"dynamic", get("/dynamic?n=10", closing), nil},
@@ -152,6 +169,8 @@ func TestWireParityAcrossServers(t *testing.T) {
 		parityCase{"post", post(closing), nil},
 		parityCase{"pipelined keep-alive", get(static, "") + get("/adrotate?u=5", "") + post("") + get(static, closing), nil},
 		parityCase{"keep-alive cap", strings.Repeat(get(static, ""), parityKeepAlive), &capped},
+		parityCase{"pipelined distinct files", distinct, &distinctWant},
+		parityCase{"pipelined long request line", longLine, &longWant},
 		parityCase{"PUT", "PUT " + static + " HTTP/1.1\r\nHost: t\r\n" + closing + "\r\n", &silence},
 		parityCase{"bad protocol", "GET " + static + " FOO/1.0\r\nHost: t\r\n" + closing + "\r\n", &silence},
 		parityCase{"oversized request line", get("/"+strings.Repeat("a", httpkit.MaxLineBytes), closing), &silence},

@@ -93,6 +93,9 @@ type Request struct {
 	// (sent zero-copy with an interned header), a large materialized
 	// file (sent with sendfile(2)), or a rendered page.
 	body httpkit.Body
+	// rec backs the flow's record (conn, close, this request): a flow
+	// owns its Request, so the record needs no allocation of its own.
+	rec [3]any
 }
 
 // Config tunes the server.
@@ -403,8 +406,9 @@ func (s *Server) readRequest(fl *runtime.Flow, in runtime.Record) (runtime.Recor
 	} else if c.Served == 1 && s.cfg.HeaderTimeout > 0 {
 		_ = c.SetReadDeadline(time.Time{})
 	}
-	req, err := ParseRequest(c.Reader())
-	if err != nil {
+	req := requestPool.Get().(*Request)
+	if err := req.parse(c.Reader()); err != nil {
+		putRequest(req)
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			s.cp.CountShed("timeout")
@@ -412,7 +416,8 @@ func (s *Server) readRequest(fl *runtime.Flow, in runtime.Record) (runtime.Recor
 		return nil, err // EOF, reset, timeout, or malformed: handled by Discard
 	}
 	closeAfter := !req.KeepAlive || c.Served+1 >= s.cfg.MaxKeepAlive || s.cp.Overloaded()
-	return runtime.Record{c, closeAfter, req}, nil
+	req.rec = [3]any{c, closeAfter, req}
+	return req.rec[:], nil
 }
 
 // checkCache looks up the static body for static paths; the "cache"
@@ -439,11 +444,14 @@ func (s *Server) checkCache(fl *runtime.Flow, in runtime.Record) (runtime.Record
 // copy tax back (httpkit.StaticBody makes the choice from the path).
 func (s *Server) readFile(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	req := in[2].(*Request)
-	body, ok := httpkit.StaticBody(s.cfg.Files, req.Path)
+	body, key, ok := httpkit.StaticBody(s.cfg.Files, req.Path)
 	if !ok {
 		return nil, fmt.Errorf("webserver: no such file %q", req.Path)
 	}
 	req.body = body
+	// From here on the path is the corpus's string, which StoreInCache
+	// may keep as a cache key; the parsed one views a reused buffer.
+	req.Path = key
 	return in, nil
 }
 
@@ -504,6 +512,7 @@ func (s *Server) complete(fl *runtime.Flow, in runtime.Record) (runtime.Record, 
 	if req.hit || req.stored {
 		s.cache.Release(req.Path)
 	}
+	putRequest(req)
 	c.Served++
 	if closeAfter {
 		c.Close()
@@ -529,6 +538,7 @@ func (s *Server) cleanup(fl *runtime.Flow, in runtime.Record) (runtime.Record, e
 	if req.hit || req.stored {
 		s.cache.Release(req.Path)
 	}
+	putRequest(req)
 	c.Close()
 	return nil, nil
 }
@@ -537,6 +547,7 @@ func (s *Server) cleanup(fl *runtime.Flow, in runtime.Record) (runtime.Record, e
 // announced, so a keep-alive client reconnects cleanly).
 func (s *Server) fourOhFour(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	c := in[0].(*netkit.Conn)
+	putRequest(in[2].(*Request))
 	_ = httpkit.NotFound(c)
 	c.Close()
 	return nil, nil

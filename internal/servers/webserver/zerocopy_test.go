@@ -27,6 +27,7 @@ func TestSendfileServesLargeBody(t *testing.T) {
 	if err := files.Materialize(t.TempDir()); err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPerFlow})
 	defer stop()
 
@@ -60,6 +61,7 @@ func TestSendfileKeepsCorpusOutOfHeap(t *testing.T) {
 	if err := files.Materialize(t.TempDir()); err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
+	t.Cleanup(func() { files.Close() })
 	_, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPool, PoolSize: 4})
 	defer stop()
 	served := 0
