@@ -107,24 +107,4 @@ func TestGoldenGameServer(t *testing.T) {
 	if len(p.Sources) != 2 {
 		t.Errorf("sources = %d, want 2", len(p.Sources))
 	}
-	// Both flows share the "state" constraint.
-	plan := p.PlacementPlan()
-	var stateGroup *core.PlacementGroup
-	for i := range plan.Groups {
-		for _, c := range plan.Groups[i].Constraints {
-			if c == "state" {
-				stateGroup = &plan.Groups[i]
-			}
-		}
-	}
-	if stateGroup == nil {
-		t.Fatalf("no state group: %+v", plan)
-	}
-	want := map[string]bool{"ApplyMove": true, "ComputeState": true}
-	for _, n := range stateGroup.Nodes {
-		delete(want, n)
-	}
-	if len(want) != 0 {
-		t.Errorf("state group %v missing %v", stateGroup.Nodes, want)
-	}
 }

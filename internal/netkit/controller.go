@@ -21,46 +21,47 @@ const (
 	ctrlRingMask = ctrlRingSize - 1
 )
 
-// ControllerConfig tunes an SLO controller. Only Target is required.
+// The control law's tuning. A 50ms period detects an overshoot one
+// window after it starts, and probing up by 4 admits a burst small
+// enough that its queueing delay stays inside the SLO band instead of
+// spiking served p95 (the AIMD limit cycle's amplitude is the
+// up-step's queueing cost).
+const (
+	// ctrlInterval is the control period: every interval the
+	// controller digests the window and takes one AIMD step.
+	ctrlInterval = 50 * time.Millisecond
+	// ctrlStep is the additive increase per interval while under the
+	// SLO — slow probing upward, the AI of AIMD.
+	ctrlStep = 4
+	// ctrlBackoff is the multiplicative decrease factor applied while
+	// over the SLO — fast retreat, the MD of AIMD.
+	ctrlBackoff = 0.5
+	// ctrlBand is the hysteresis band as a fraction of the target:
+	// within Target±Band the controller holds, so boundary noise cannot
+	// flap the watermark.
+	ctrlBand = 0.15
+	// ctrlMinSamples is the fewest window samples the controller acts
+	// on; thinner windows hold the previous decision rather than chase
+	// noise.
+	ctrlMinSamples = 16
+	// ctrlMinWatermark and ctrlMaxWatermark clamp the gate watermark.
+	// The floor keeps a latency spike from strangling admission
+	// entirely; the ceiling bounds the backlog a recovering controller
+	// can re-admit.
+	ctrlMinWatermark = 8
+	ctrlMaxWatermark = 4096
+	// ctrlConnCapFactor sets the plane's live-connection cap to
+	// factor×watermark on every step, bounding the admission burst a
+	// between-samples window lets through.
+	ctrlConnCapFactor = 2
+)
+
+// ControllerConfig configures an SLO controller. Only Target is
+// required.
 type ControllerConfig struct {
 	// Target is the served-p95 SLO: the controller moves the admission
 	// watermark so the p95 of completed flows holds at or under it.
 	Target time.Duration
-
-	// Interval is the control period (default 100ms): every interval
-	// the controller digests the window and takes one AIMD step.
-	Interval time.Duration
-
-	// MinWatermark / MaxWatermark clamp the gate watermark (defaults 8
-	// and 4096). The floor keeps a latency spike from strangling
-	// admission entirely; the ceiling bounds the backlog a recovering
-	// controller can re-admit.
-	MinWatermark int
-	MaxWatermark int
-
-	// Step is the additive increase per interval while under the SLO
-	// (default 8) — slow probing upward, the AI of AIMD.
-	Step int
-
-	// Backoff is the multiplicative decrease factor applied while over
-	// the SLO (default 0.5) — fast retreat, the MD of AIMD.
-	Backoff float64
-
-	// Band is the hysteresis band as a fraction of Target (default
-	// 0.15): within Target±Band the controller holds, so boundary noise
-	// cannot flap the watermark.
-	Band float64
-
-	// MinSamples is the fewest window samples the controller will act
-	// on (default 16); thinner windows hold the previous decision
-	// rather than chase noise.
-	MinSamples int
-
-	// ConnCapFactor sets the plane's live-connection cap to
-	// factor×watermark on every step (default 2, the PR 5 heuristic
-	// bounding the admission burst a between-samples window lets
-	// through); <= 0 leaves the plane cap alone.
-	ConnCapFactor int
 
 	// Kind labels the controller's trajectory streams on the
 	// QueueDepth surface (the engine whose pipeline it steers).
@@ -70,39 +71,6 @@ type ControllerConfig struct {
 	// of each runtime.Ctrl* stream per step, so harnesses can print
 	// watermark/p95/shed-rate over time alongside the backlogs.
 	Sink runtime.Observer
-
-	// Sheds, when non-nil, reads the cumulative shed count (typically
-	// Plane.Stats().Shed) the controller differentiates into the
-	// window's shed rate.
-	Sheds func() uint64
-}
-
-func (cfg ControllerConfig) withDefaults() ControllerConfig {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * time.Millisecond
-	}
-	if cfg.MinWatermark <= 0 {
-		cfg.MinWatermark = 8
-	}
-	if cfg.MaxWatermark <= 0 {
-		cfg.MaxWatermark = 4096
-	}
-	if cfg.Step <= 0 {
-		cfg.Step = 8
-	}
-	if cfg.Backoff <= 0 || cfg.Backoff >= 1 {
-		cfg.Backoff = 0.5
-	}
-	if cfg.Band <= 0 {
-		cfg.Band = 0.15
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 16
-	}
-	if cfg.ConnCapFactor == 0 {
-		cfg.ConnCapFactor = 2
-	}
-	return cfg
 }
 
 // Controller is the SLO-targeting admission controller: it closes the
@@ -111,7 +79,7 @@ func (cfg ControllerConfig) withDefaults() ControllerConfig {
 // to one machine and one workload; the controller instead measures
 // served latency on the Observer plane — every completed flow's
 // elapsed time lands in a fixed ring via FlowDone, allocation-free —
-// and every Interval compares the window's p95 against the Target,
+// and every ctrlInterval compares the window's p95 against the Target,
 // stepping the watermark (and the plane's conn cap) with AIMD:
 // multiplicative decrease while over the SLO, additive increase while
 // under it, a hysteresis band between so boundary noise cannot flap
@@ -149,7 +117,7 @@ type Controller struct {
 // and trajectory displays.
 type Decision struct {
 	Samples   int           // served flows digested this step
-	P95       time.Duration // the window's served p95 (0 if under MinSamples)
+	P95       time.Duration // the window's served p95 (0 below ctrlMinSamples)
 	ShedRate  float64       // sheds/sec over the step
 	Watermark int           // gate watermark after the step
 	ConnCap   int           // plane conn cap after the step (0 if unmanaged)
@@ -169,7 +137,6 @@ func NewController(cfg ControllerConfig, gate *Gate, plane *Plane) (*Controller,
 	if gate == nil {
 		return nil, fmt.Errorf("netkit: controller needs a gate to steer")
 	}
-	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:     cfg,
 		gate:    gate,
@@ -178,12 +145,9 @@ func NewController(cfg ControllerConfig, gate *Gate, plane *Plane) (*Controller,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	if cfg.Sheds == nil && plane != nil {
-		c.cfg.Sheds = func() uint64 { return plane.Stats().Shed }
-	}
 	// Start inside the clamp: a hand-picked initial watermark outside
 	// [min,max] would otherwise take many steps to re-enter it.
-	c.applyWatermark(clamp(gate.Watermark(), cfg.MinWatermark, cfg.MaxWatermark))
+	c.applyWatermark(clamp(gate.Watermark(), ctrlMinWatermark, ctrlMaxWatermark))
 	return c, nil
 }
 
@@ -191,16 +155,13 @@ func NewController(cfg ControllerConfig, gate *Gate, plane *Plane) (*Controller,
 // hosts must wire the controller into the runtime's observer chain
 // before the runtime exists, and the plane can only be opened against
 // the built runtime. Call before Start; a nil plane or a second bind
-// is a no-op. Binding wires the shed counter (when not already set)
-// and applies the current watermark's conn cap.
+// is a no-op. Binding makes the plane's shed count the controller's
+// shed-rate input and applies the current watermark's conn cap.
 func (c *Controller) BindPlane(p *Plane) {
 	if p == nil || c.plane != nil {
 		return
 	}
 	c.plane = p
-	if c.cfg.Sheds == nil {
-		c.cfg.Sheds = func() uint64 { return p.Stats().Shed }
-	}
 	c.applyWatermark(c.gate.Watermark())
 }
 
@@ -231,7 +192,7 @@ func (c *Controller) Start(ctx context.Context) {
 	}
 	go func() {
 		defer close(c.done)
-		t := time.NewTicker(c.cfg.Interval)
+		t := time.NewTicker(ctrlInterval)
 		defer t.Stop()
 		last := time.Now()
 		for {
@@ -268,8 +229,8 @@ func (c *Controller) Tick(elapsed time.Duration) Decision {
 	c.gate.Refresh()
 
 	var shedRate float64
-	if c.cfg.Sheds != nil && elapsed > 0 {
-		cur := c.cfg.Sheds()
+	if c.plane != nil && elapsed > 0 {
+		cur := c.plane.shed.Load()
 		shedRate = float64(cur-c.lastSheds) / elapsed.Seconds()
 		c.lastSheds = cur
 	}
@@ -291,31 +252,31 @@ func (c *Controller) Tick(elapsed time.Duration) Decision {
 	}
 
 	d := Decision{Samples: int(n), Watermark: c.gate.Watermark()}
-	if int(n) >= c.cfg.MinSamples {
+	if int(n) >= ctrlMinSamples {
 		slices.Sort(c.scratch)
 		d.P95 = time.Duration(quantileInt64(c.scratch, 0.95))
 		target := float64(c.cfg.Target)
 		switch p95 := float64(d.P95); {
-		case p95 > target*(1+c.cfg.Band):
+		case p95 > target*(1+ctrlBand):
 			// Over the SLO: multiplicative decrease, and always by at
 			// least one so a small watermark cannot get stuck above the
 			// floor.
-			next := int(float64(d.Watermark) * c.cfg.Backoff)
+			next := int(float64(d.Watermark) * ctrlBackoff)
 			if next >= d.Watermark {
 				next = d.Watermark - 1
 			}
-			d.Watermark = clamp(next, c.cfg.MinWatermark, c.cfg.MaxWatermark)
-		case p95 < target*(1-c.cfg.Band):
+			d.Watermark = clamp(next, ctrlMinWatermark, ctrlMaxWatermark)
+		case p95 < target*(1-ctrlBand):
 			// Under the SLO: additive increase — probe for throughput,
 			// recover after load drops.
-			d.Watermark = clamp(d.Watermark+c.cfg.Step, c.cfg.MinWatermark, c.cfg.MaxWatermark)
+			d.Watermark = clamp(d.Watermark+ctrlStep, ctrlMinWatermark, ctrlMaxWatermark)
 		}
 		// Within the band: hold. The dead zone is the hysteresis that
 		// keeps boundary noise from flapping admission.
 	}
 	d.ShedRate = shedRate
 	c.applyWatermark(d.Watermark)
-	if c.plane != nil && c.cfg.ConnCapFactor > 0 {
+	if c.plane != nil {
 		d.ConnCap = c.plane.MaxConns()
 	}
 
@@ -328,14 +289,14 @@ func (c *Controller) Tick(elapsed time.Duration) Decision {
 	return d
 }
 
-// applyWatermark publishes a watermark decision to the gate and, when
-// managed, the plane's conn cap.
+// applyWatermark publishes a watermark decision to the gate and, with
+// a plane bound, the plane's conn cap.
 func (c *Controller) applyWatermark(wm int) {
 	if c.gate.Watermark() != wm {
 		c.gate.SetWatermark(wm)
 	}
-	if c.plane != nil && c.cfg.ConnCapFactor > 0 {
-		if cap := c.cfg.ConnCapFactor * wm; c.plane.MaxConns() != cap {
+	if c.plane != nil {
+		if cap := ctrlConnCapFactor * wm; c.plane.MaxConns() != cap {
 			c.plane.SetMaxConns(cap)
 		}
 	}

@@ -18,20 +18,13 @@ func feedServed(c *Controller, n int, d time.Duration) {
 	}
 }
 
-// testController builds a controller over a fresh gate with small,
-// round numbers the assertions below can predict exactly.
+// testController builds a controller over a fresh gate with a 30ms
+// target; the assertions below predict its steps from the control
+// constants.
 func testController(t *testing.T, initialWM int) (*Controller, *Gate) {
 	t.Helper()
 	g := NewGate(initialWM)
-	c, err := NewController(ControllerConfig{
-		Target:       30 * time.Millisecond,
-		MinWatermark: 8,
-		MaxWatermark: 512,
-		Step:         8,
-		Backoff:      0.5,
-		Band:         0.15,
-		MinSamples:   16,
-	}, g, nil)
+	c, err := NewController(ControllerConfig{Target: 30 * time.Millisecond}, g, nil)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -39,8 +32,8 @@ func testController(t *testing.T, initialWM int) (*Controller, *Gate) {
 }
 
 // TestControllerAIMDStepBounds: over the SLO the watermark halves per
-// step and floors at MinWatermark; under it the watermark grows by
-// exactly Step and caps at MaxWatermark.
+// step and floors at ctrlMinWatermark; under it the watermark grows by
+// exactly ctrlStep and caps at ctrlMaxWatermark.
 func TestControllerAIMDStepBounds(t *testing.T) {
 	c, g := testController(t, 256)
 
@@ -53,8 +46,8 @@ func TestControllerAIMDStepBounds(t *testing.T) {
 		}
 	}
 
-	// Additive increase: 8 → 16 → 24 → ... capped at 512.
-	for want := 16; want <= 512; want += 8 {
+	// Additive increase: 8 → 12 → 16 → ... capped at ctrlMaxWatermark.
+	for want := ctrlMinWatermark + ctrlStep; want <= ctrlMaxWatermark; want += ctrlStep {
 		feedServed(c, 64, time.Millisecond) // p95 far under 30ms
 		if d := c.Tick(100 * time.Millisecond); d.Watermark != want {
 			t.Fatalf("increase: got wm %d, want %d", d.Watermark, want)
@@ -62,8 +55,8 @@ func TestControllerAIMDStepBounds(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		feedServed(c, 64, time.Millisecond)
-		if d := c.Tick(100 * time.Millisecond); d.Watermark != 512 {
-			t.Fatalf("ceiling: got wm %d, want 512", d.Watermark)
+		if d := c.Tick(100 * time.Millisecond); d.Watermark != ctrlMaxWatermark {
+			t.Fatalf("ceiling: got wm %d, want %d", d.Watermark, ctrlMaxWatermark)
 		}
 	}
 }
@@ -105,20 +98,21 @@ func TestControllerRecoveryAfterLoadDrop(t *testing.T) {
 		t.Fatalf("storm: watermark %d, want floor 8", wm)
 	}
 	// Load drops: latency is healthy again. The controller must walk
-	// back up, +Step per interval, until it re-reaches the ceiling.
+	// back up, +ctrlStep per interval, until it re-reaches the ceiling.
+	want := (ctrlMaxWatermark - ctrlMinWatermark) / ctrlStep
 	steps := 0
 	for {
 		feedServed(c, 64, 2*time.Millisecond)
 		d := c.Tick(100 * time.Millisecond)
 		steps++
-		if d.Watermark == 512 {
+		if d.Watermark == ctrlMaxWatermark {
 			break
 		}
-		if steps > 100 {
+		if steps > 2*want {
 			t.Fatalf("no recovery after %d steps (wm %d)", steps, d.Watermark)
 		}
 	}
-	if want := (512 - 8) / 8; steps != want {
+	if steps != want {
 		t.Fatalf("recovery took %d steps, want exactly %d (additive step bound)", steps, want)
 	}
 }
@@ -127,13 +121,13 @@ func TestControllerRecoveryAfterLoadDrop(t *testing.T) {
 // signal — the previous decision stands.
 func TestControllerHoldsUnderMinSamples(t *testing.T) {
 	c, _ := testController(t, 64)
-	feedServed(c, 15, 500*time.Millisecond) // under MinSamples=16, however slow
+	feedServed(c, ctrlMinSamples-1, 500*time.Millisecond) // too thin, however slow
 	d := c.Tick(100 * time.Millisecond)
 	if d.Watermark != 64 || d.P95 != 0 {
 		t.Fatalf("thin window acted: %+v", d)
 	}
-	if d.Samples != 15 {
-		t.Fatalf("samples = %d, want 15", d.Samples)
+	if d.Samples != ctrlMinSamples-1 {
+		t.Fatalf("samples = %d, want %d", d.Samples, ctrlMinSamples-1)
 	}
 }
 
@@ -146,10 +140,7 @@ func TestControllerConnCapFollowsWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Shutdown(context.Background()) // never started: closes the listener only
-	c, err := NewController(ControllerConfig{
-		Target: 30 * time.Millisecond, MinWatermark: 8, MaxWatermark: 512,
-		Step: 8, Backoff: 0.5, Band: 0.15, MinSamples: 16, ConnCapFactor: 2,
-	}, g, p)
+	c, err := NewController(ControllerConfig{Target: 30 * time.Millisecond}, g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +178,7 @@ func (s *trajectorySink) NodeDone(*core.FlatGraph, *core.FlatNode, time.Duration
 func TestControllerTrajectoryStreams(t *testing.T) {
 	g := NewGate(64)
 	sink := &trajectorySink{}
-	c, err := NewController(ControllerConfig{
-		Target: 30 * time.Millisecond, MinWatermark: 8, MaxWatermark: 512,
-		Step: 8, Backoff: 0.5, Band: 0.15, MinSamples: 16,
-		Sink: sink,
-	}, g, nil)
+	c, err := NewController(ControllerConfig{Target: 30 * time.Millisecond, Sink: sink}, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +196,8 @@ func TestControllerTrajectoryStreams(t *testing.T) {
 			t.Errorf("stream %s: %d samples, want 2", stream, got)
 		}
 	}
-	if wm := sink.samples[runtime.CtrlWatermark]; wm[0] != 32 || wm[1] != 40 {
-		t.Errorf("watermark trajectory %v, want [32 40]", wm)
+	if wm := sink.samples[runtime.CtrlWatermark]; wm[0] != 32 || wm[1] != 32+ctrlStep {
+		t.Errorf("watermark trajectory %v, want [32 %d]", wm, 32+ctrlStep)
 	}
 
 	// The gate ignores controller gauges on the shared surface.
@@ -221,19 +208,22 @@ func TestControllerTrajectoryStreams(t *testing.T) {
 	}
 }
 
-// TestControllerShedRate: the controller differentiates the cumulative
-// shed counter into a per-second rate over the step window.
+// TestControllerShedRate: the controller differentiates its plane's
+// cumulative shed count into a per-second rate over the step window.
 func TestControllerShedRate(t *testing.T) {
 	g := NewGate(64)
-	var sheds uint64
-	c, err := NewController(ControllerConfig{
-		Target: 30 * time.Millisecond, MinSamples: 16,
-		Sheds: func() uint64 { return sheds },
-	}, g, nil)
+	p, err := Listen(Config{Admit: func(c *Conn) error { c.Close(); return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sheds = 50
+	defer p.Shutdown(context.Background()) // never started: closes the listener only
+	c, err := NewController(ControllerConfig{Target: 30 * time.Millisecond}, g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		p.CountShed("test")
+	}
 	if d := c.Tick(500 * time.Millisecond); d.ShedRate != 100 {
 		t.Fatalf("shed rate %.1f, want 100/s", d.ShedRate)
 	}

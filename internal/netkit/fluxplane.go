@@ -18,7 +18,6 @@ type FluxPlane struct {
 	rt    *runtime.Server
 	src   *runtime.SourceHandle
 	plane *Plane
-	gate  *Gate
 }
 
 // NewFluxPlane resolves the admission source on rt and opens the
@@ -26,7 +25,7 @@ type FluxPlane struct {
 // handle); cfg.Gate should come from NewGateObserver so the runtime's
 // observer plane includes it and queue sampling runs.
 func NewFluxPlane(rt *runtime.Server, source string, cfg Config) (*FluxPlane, error) {
-	fp := &FluxPlane{rt: rt, gate: cfg.Gate}
+	fp := &FluxPlane{rt: rt}
 	h, err := rt.Source(source)
 	if err != nil {
 		return nil, err
@@ -75,10 +74,7 @@ func (fp *FluxPlane) Reinject(c *Conn) { fp.Continue(nil, c) }
 func (fp *FluxPlane) Addr() string { return fp.plane.Addr() }
 
 // Gate returns the admission gate (nil when unbounded).
-func (fp *FluxPlane) Gate() *Gate { return fp.gate }
-
-// Shards reports how many accept shards the plane opened.
-func (fp *FluxPlane) Shards() int { return fp.plane.Shards() }
+func (fp *FluxPlane) Gate() *Gate { return fp.plane.cfg.Gate }
 
 // Plane returns the underlying connection plane — the controller
 // adapts its conn cap, and owners shed timed-out connections through

@@ -65,12 +65,12 @@ func NewGate(watermark int) *Gate {
 	return g
 }
 
-// NewGateObserver is the admission-gate wiring every gated server
-// repeats: it builds the gate (nil when watermark <= 0) and returns
-// the observer to hand the runtime — the gate composed with obs, or
-// obs unchanged without one. Composing by hand invites the typed-nil
-// trap (MultiObserver cannot tell a nil *Gate from a live observer);
-// this helper is the one place that gets it right.
+// NewGateObserver is the admission-gate wiring of a gated server: it
+// builds the gate (nil when watermark <= 0) and returns the observer to
+// hand the runtime — the gate composed with obs, or obs unchanged
+// without one. Composing by hand invites the typed-nil trap
+// (MultiObserver cannot tell a nil *Gate from a live observer); this
+// helper is the one place that gets it right.
 func NewGateObserver(watermark int, obs runtime.Observer) (*Gate, runtime.Observer) {
 	if watermark <= 0 {
 		return nil, obs

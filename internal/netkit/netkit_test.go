@@ -348,3 +348,97 @@ func TestConnCloseIdempotent(t *testing.T) {
 		t.Fatalf("second close: %v", err)
 	}
 }
+
+// TestPlaneLifecycle covers every way the single accept loop retires:
+// before Start a Shutdown only closes the listener and Wait refuses;
+// after Start a repeated Shutdown and a cancelled context each retire
+// the loop, and Wait then returns.
+func TestPlaneLifecycle(t *testing.T) {
+	listen := func(t *testing.T) *Plane {
+		t.Helper()
+		p, err := Listen(Config{Admit: func(c *Conn) error { c.Close(); return nil }})
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		return p
+	}
+	// serveOne proves the accept loop is live before it is retired.
+	serveOne := func(t *testing.T, p *Plane) {
+		t.Helper()
+		conn, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.ReadAll(conn) // Admit closes: EOF
+		conn.Close()
+		// Accepted is counted before Admit runs (Admitted only after it
+		// returns, which may be after the client sees EOF).
+		if got := p.Stats().Accepted; got != 1 {
+			t.Fatalf("accepted = %d, want 1", got)
+		}
+	}
+	waitRetired := func(t *testing.T, p *Plane) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- p.Wait() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("accept loop did not retire")
+		}
+	}
+
+	t.Run("ShutdownBeforeStart", func(t *testing.T) {
+		p := listen(t)
+		if err := p.Shutdown(context.Background()); err != nil {
+			t.Fatalf("Shutdown before Start: %v", err)
+		}
+		if conn, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second); err == nil {
+			conn.Close()
+			t.Fatal("dial succeeded after Shutdown closed the listener")
+		}
+	})
+
+	t.Run("WaitBeforeStart", func(t *testing.T) {
+		p := listen(t)
+		defer p.Shutdown(context.Background())
+		if err := p.Wait(); err != ErrNotStarted {
+			t.Fatalf("Wait before Start = %v, want ErrNotStarted", err)
+		}
+	})
+
+	t.Run("ShutdownTwice", func(t *testing.T) {
+		p := listen(t)
+		if err := p.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		serveOne(t, p)
+		for i := 0; i < 2; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := p.Shutdown(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("Shutdown #%d: %v", i+1, err)
+			}
+		}
+		waitRetired(t, p)
+	})
+
+	t.Run("ContextCancel", func(t *testing.T) {
+		p := listen(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := p.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		serveOne(t, p)
+		cancel()
+		waitRetired(t, p)
+		if conn, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second); err == nil {
+			conn.Close()
+			t.Fatal("dial succeeded after the context closed the plane")
+		}
+	})
+}

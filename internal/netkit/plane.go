@@ -18,10 +18,6 @@ var ErrNotStarted = errors.New("netkit: plane not started")
 // ErrPlaneClosed is returned by AdoptAndAdmit once shutdown has begun.
 var ErrPlaneClosed = errors.New("netkit: plane closed")
 
-// errReuseportUnsupported marks a platform (or forced-fallback test)
-// where SO_REUSEPORT accept sharding is unavailable.
-var errReuseportUnsupported = errors.New("netkit: SO_REUSEPORT unavailable")
-
 // Config tunes a connection plane.
 type Config struct {
 	// Addr is the TCP listen address (default "127.0.0.1:0").
@@ -57,16 +53,6 @@ type Config struct {
 	// block-forever behavior.
 	WriteTimeout time.Duration
 
-	// ListenShards, when > 1, opens that many SO_REUSEPORT listeners on
-	// the same address, each with its own accept loop — the kernel then
-	// load-balances accepts across the shards, so connections stay
-	// core-local from the accept queue onward (the per-core design the
-	// steal engine has, extended to the socket layer). On platforms
-	// without SO_REUSEPORT (or when the option is refused) the plane
-	// falls back to a single listener and serves identically; Shards()
-	// reports what was actually opened. 0 or 1 opens one listener.
-	ListenShards int
-
 	// Observer, when non-nil, receives a ConnShed event for every shed
 	// (it also composes into the runtime observer plane; see
 	// runtime.ShedObserver).
@@ -93,11 +79,7 @@ type StatsSnapshot struct {
 type Plane struct {
 	cfg  Config
 	name string
-	// lns holds one listener per accept shard: a single listener in the
-	// classic configuration, Config.ListenShards SO_REUSEPORT sockets on
-	// the same address when sharding is enabled and the platform
-	// supports it.
-	lns []net.Listener
+	ln   net.Listener
 
 	accepted atomic.Uint64
 	admitted atomic.Uint64
@@ -116,37 +98,23 @@ type Plane struct {
 	acceptDone chan struct{}
 }
 
-// Listen opens the plane's listener shards; Start begins accepting.
-// With ListenShards > 1 it attempts SO_REUSEPORT sharding and falls
-// back — silently, serving identically — to one listener when the
-// platform or socket refuses the option.
+// Listen opens the plane's listener; Start begins accepting.
 func Listen(cfg Config) (*Plane, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	var lns []net.Listener
-	if cfg.ListenShards > 1 {
-		lns, _ = listenReuseport(cfg.Addr, cfg.ListenShards)
-	}
-	if len(lns) == 0 {
-		ln, err := net.Listen("tcp", cfg.Addr)
-		if err != nil {
-			return nil, err
-		}
-		lns = []net.Listener{ln}
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		return nil, err
 	}
 	name := cfg.Name
 	if name == "" {
-		name = lns[0].Addr().String()
+		name = ln.Addr().String()
 	}
-	p := &Plane{cfg: cfg, name: name, lns: lns, conns: make(map[*Conn]net.Conn)}
+	p := &Plane{cfg: cfg, name: name, ln: ln, conns: make(map[*Conn]net.Conn)}
 	p.maxConns.Store(int64(cfg.MaxConns))
 	return p, nil
 }
-
-// Shards reports how many accept shards the plane actually opened (1
-// when REUSEPORT sharding was not requested or not available).
-func (p *Plane) Shards() int { return len(p.lns) }
 
 // MaxConns returns the current live-connection bound (0 = unbounded).
 func (p *Plane) MaxConns() int { return int(p.maxConns.Load()) }
@@ -156,8 +124,8 @@ func (p *Plane) MaxConns() int { return int(p.maxConns.Load()) }
 // sheds fresh accepts until attrition brings the live count under it.
 func (p *Plane) SetMaxConns(n int) { p.maxConns.Store(int64(n)) }
 
-// Addr returns the bound listen address (all shards share it).
-func (p *Plane) Addr() string { return p.lns[0].Addr().String() }
+// Addr returns the bound listen address.
+func (p *Plane) Addr() string { return p.ln.Addr().String() }
 
 // Stats returns the plane's counters.
 func (p *Plane) Stats() StatsSnapshot {
@@ -181,18 +149,7 @@ func (p *Plane) Overloaded() bool {
 // connection is interrupted, exactly as Shutdown does.
 func (p *Plane) Start(ctx context.Context) error {
 	p.acceptDone = make(chan struct{})
-	var loops sync.WaitGroup
-	for _, ln := range p.lns {
-		loops.Add(1)
-		go func(ln net.Listener) {
-			defer loops.Done()
-			p.acceptLoop(ln)
-		}(ln)
-	}
-	go func() {
-		loops.Wait()
-		close(p.acceptDone)
-	}()
+	go p.acceptLoop()
 	go func() {
 		select {
 		case <-ctx.Done():
@@ -203,9 +160,10 @@ func (p *Plane) Start(ctx context.Context) error {
 	return nil
 }
 
-func (p *Plane) acceptLoop(ln net.Listener) {
+func (p *Plane) acceptLoop() {
+	defer close(p.acceptDone)
 	for {
-		nc, err := ln.Accept()
+		nc, err := p.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
@@ -356,9 +314,7 @@ func (p *Plane) untrack(c *Conn) {
 // the usual Close.
 func (p *Plane) beginShutdown() {
 	p.closeOnce.Do(func() {
-		for _, ln := range p.lns {
-			ln.Close()
-		}
+		p.ln.Close()
 		p.mu.Lock()
 		p.closing = true
 		ncs := make([]net.Conn, 0, len(p.conns))

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
@@ -272,80 +271,4 @@ func TestWriteVecShortWriteTearsDown(t *testing.T) {
 	}
 	// The pooled state still has exactly one owner close.
 	c.Close()
-}
-
-// echoPlane serves one request line per connection, echoing it back.
-func echoPlane(t *testing.T, cfg Config) *Plane {
-	t.Helper()
-	cfg.Admit = func(c *Conn) error {
-		go func() {
-			line, err := c.Reader().ReadString('\n')
-			if err == nil {
-				fmt.Fprintf(c, "echo %s", line)
-			}
-			c.Close()
-		}()
-		return nil
-	}
-	p, stop := startPlane(t, cfg)
-	t.Cleanup(stop)
-	return p
-}
-
-func dialEcho(t *testing.T, addr string, i int) {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "hello %d\n", i)
-	out, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf("echo hello %d\n", i); string(out) != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-// TestListenShardsServe: with SO_REUSEPORT available the plane opens
-// the requested shard count and serves across all of them.
-func TestListenShardsServe(t *testing.T) {
-	if !reuseportAvailable {
-		t.Skip("SO_REUSEPORT unsupported on this platform")
-	}
-	p := echoPlane(t, Config{ListenShards: 3})
-	if got := p.Shards(); got != 3 {
-		t.Fatalf("Shards() = %d, want 3", got)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 30; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dialEcho(t, p.Addr(), i)
-		}(i)
-	}
-	wg.Wait()
-	if st := p.Stats(); st.Accepted != 30 {
-		t.Fatalf("accepted = %d, want 30", st.Accepted)
-	}
-}
-
-// TestListenShardsFallback: without SO_REUSEPORT (forced via the test
-// hook) the plane falls back to a single listener and serves
-// identically — the cross-platform guarantee.
-func TestListenShardsFallback(t *testing.T) {
-	saved := reuseportAvailable
-	reuseportAvailable = false
-	defer func() { reuseportAvailable = saved }()
-
-	p := echoPlane(t, Config{ListenShards: 3})
-	if got := p.Shards(); got != 1 {
-		t.Fatalf("Shards() = %d, want 1 (fallback)", got)
-	}
-	for i := 0; i < 10; i++ {
-		dialEcho(t, p.Addr(), i)
-	}
 }

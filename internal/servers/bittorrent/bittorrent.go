@@ -12,10 +12,9 @@
 // pooled state and admits it through the runtime's external-admission
 // path (Server.Inject via a pre-resolved SourceHandle); outbound dials
 // (leecher bootstrap, tracker discovery) are adopted onto the same
-// plane through AdmitDialed. Overload control — a queue-depth watermark
-// gate, a live-connection cap, and optionally the SLO controller —
-// sheds fresh peers with counted ConnShed events instead of queueing
-// them unboundedly.
+// plane through AdmitDialed. Overload control is a live-connection cap
+// (MaxConns): accepts beyond it are shed with counted ConnShed events
+// instead of queueing unboundedly.
 //
 // Readiness substrate: the paper's runtime intercepts blocking socket
 // reads and multiplexes them with select; here every registered peer has
@@ -204,18 +203,9 @@ type Config struct {
 	// the per-peer write mutex — and every broadcast flow behind it —
 	// forever. On a pop the connection is torn down and the shed counted.
 	WriteTimeout time.Duration
-	// AdmitWatermark, when > 0, bounds admission: once the engine's
-	// sampled queue depths sum past it, fresh peer connections are shed
-	// (closed, counted) until the backlog drains.
-	AdmitWatermark int
 	// MaxConns, when > 0, caps live peer connections; accepts beyond it
 	// are shed. Outbound dials bypass the cap (the server chose them).
 	MaxConns int
-	// TargetP95, when > 0, puts admission under the SLO controller:
-	// served flow latency is measured on the Observer plane and every
-	// control interval the watermark — and the connection cap — takes
-	// one AIMD step toward holding the window's p95 at the target.
-	TargetP95 time.Duration
 }
 
 // msgKinds enumerates the per-message-type counters, in wire-ID order
@@ -240,7 +230,6 @@ type Server struct {
 	prog   *core.Program
 	rt     *runtime.Server
 	cp     *netkit.FluxPlane
-	ctrl   *netkit.Controller
 	store  *torrent.Store
 	peerID [20]byte
 
@@ -262,7 +251,7 @@ type Server struct {
 	// pieceLat records request-to-verified latency per piece.
 	pieceLat telemetry.Histogram
 
-	// obs is the composed observer the runtime and plane report to;
+	// obs is the telemetry observer the runtime and plane report to;
 	// the choke flow publishes the msg/* streams through it.
 	obs runtime.Observer
 
@@ -308,9 +297,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 30 * time.Second
 	}
-	if cfg.TargetP95 > 0 && cfg.AdmitWatermark <= 0 {
-		cfg.AdmitWatermark = 64 // the controller's starting point
-	}
 
 	astProg, err := parser.Parse("bittorrent.flux", FluxSource)
 	if err != nil {
@@ -349,24 +335,7 @@ func New(cfg Config) (*Server, error) {
 	s.chokeRng = mrand.New(mrand.NewSource(int64(binary.BigEndian.Uint64(s.peerID[8:16]))))
 	s.trackerTick = runtime.IntervalSource(cfg.TrackerInterval)
 
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Telemetry.Observer())
-	if cfg.TargetP95 > 0 {
-		// The controller joins the observer chain now (FlowDone is its
-		// input signal) and meets the plane after the runtime exists.
-		ctrl, err := netkit.NewController(netkit.ControllerConfig{
-			Target:   cfg.TargetP95,
-			Interval: 50 * time.Millisecond,
-			Step:     4,
-			Kind:     cfg.Engine,
-			Sink:     cfg.Telemetry.Observer(),
-		}, gate, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bittorrent: %w", err)
-		}
-		s.ctrl = ctrl
-		obs = runtime.MultiObserver(obs, ctrl)
-	}
-	s.obs = obs
+	s.obs = cfg.Telemetry.Observer()
 
 	b := runtime.NewBindings().
 		BindSource("Listen", s.listen).
@@ -428,8 +397,7 @@ func New(cfg Config) (*Server, error) {
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(netkit.SamplePeriod(cfg.AdmitWatermark)),
+		runtime.WithObserver(s.obs),
 	)
 	if err != nil {
 		return nil, err
@@ -437,19 +405,15 @@ func New(cfg Config) (*Server, error) {
 	s.rt = rt
 	s.cp, err = netkit.NewFluxPlane(rt, "Listen", netkit.Config{
 		Addr:     cfg.Addr,
-		Gate:     gate,
 		MaxConns: cfg.MaxConns,
 		// BitTorrent has no 503: shed peers are closed silently and the
 		// remote treats the reset as a refusal.
 		ShedResponse: nil,
-		Observer:     obs,
+		Observer:     s.obs,
 		Name:         "bittorrent",
 	})
 	if err != nil {
 		return nil, err
-	}
-	if s.ctrl != nil {
-		s.ctrl.BindPlane(s.cp.Plane())
 	}
 	if cfg.Telemetry != nil {
 		pl := s.cp.Plane()
@@ -477,12 +441,6 @@ func (s *Server) Stats() *runtime.Stats { return s.rt.Stats() }
 // PlaneStats exposes the connection plane's admission counters.
 func (s *Server) PlaneStats() netkit.StatsSnapshot { return s.cp.PlaneStats() }
 
-// Gate exposes the admission gate (nil without an AdmitWatermark).
-func (s *Server) Gate() *netkit.Gate { return s.cp.Gate() }
-
-// Controller exposes the SLO controller (nil without a TargetP95).
-func (s *Server) Controller() *netkit.Controller { return s.ctrl }
-
 // Store exposes the piece store (for completeness checks in tests).
 func (s *Server) Store() *torrent.Store { return s.store }
 
@@ -506,15 +464,12 @@ func (s *Server) PieceLatency() (p50, p95 time.Duration) {
 	return h.Quantile(0.50), h.Quantile(0.95)
 }
 
-// Start launches the Flux runtime, the connection plane's accept loop,
-// and (with a TargetP95) the SLO control loop; the peer then serves
-// until the context is cancelled or Shutdown is called.
+// Start launches the Flux runtime and the connection plane's accept
+// loop; the peer then serves until the context is cancelled or Shutdown
+// is called.
 func (s *Server) Start(ctx context.Context) error {
 	if err := s.cp.Start(ctx); err != nil {
 		return err
-	}
-	if s.ctrl != nil {
-		s.ctrl.Start(ctx)
 	}
 	s.startOnce.Do(func() { close(s.started) })
 	return nil
@@ -524,12 +479,7 @@ func (s *Server) Start(ctx context.Context) error {
 // interrupts every live connection (pumps report their peers dead), then
 // the runtime stops admitting and drains in-flight flows until their
 // terminals or ctx expires.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.ctrl != nil {
-		s.ctrl.Stop()
-	}
-	return s.cp.Shutdown(ctx)
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.cp.Shutdown(ctx) }
 
 // Wait blocks until the run ends and returns its error.
 func (s *Server) Wait() error { return s.cp.Wait() }

@@ -9,10 +9,10 @@ import (
 // bytes: it must never panic, and anything it accepts must survive an
 // encode/decode round trip unchanged.
 func FuzzParseMessageBody(f *testing.F) {
-	f.Add([]byte{})                                // keep-alive
-	f.Add([]byte{MsgChoke})                        // bare choke
-	f.Add([]byte{MsgHave, 0, 0, 0, 7})             // have(7)
-	f.Add([]byte{MsgBitfield, 0xFF, 0x80})         // bitfield
+	f.Add([]byte{})                        // keep-alive
+	f.Add([]byte{MsgChoke})                // bare choke
+	f.Add([]byte{MsgHave, 0, 0, 0, 7})     // have(7)
+	f.Add([]byte{MsgBitfield, 0xFF, 0x80}) // bitfield
 	f.Add(append([]byte{MsgRequest}, make([]byte, 12)...))
 	f.Add(append([]byte{MsgPiece, 0, 0, 0, 1, 0, 0, 0x40, 0}, []byte("block data")...))
 	f.Add([]byte{MsgCancel, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0x40, 0})

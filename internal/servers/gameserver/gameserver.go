@@ -128,9 +128,8 @@ type Server struct {
 
 	// broadcastPkts / broadcastErrs count per-recipient sends, a
 	// diagnostic surfaced by BroadcastStats.
-	broadcastPkts    atomic.Uint64
-	broadcastErrs    atomic.Uint64
-	lastBroadcastErr atomic.Value // string
+	broadcastPkts atomic.Uint64
+	broadcastErrs atomic.Uint64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -417,7 +416,6 @@ func (s *Server) broadcast(fl *runtime.Flow, in runtime.Record) (runtime.Record,
 	for _, addr := range snap.addrs {
 		if _, err := s.conn.WriteToUDP(snap.payload, addr); err != nil {
 			s.broadcastErrs.Add(1)
-			s.lastBroadcastErr.Store(err.Error())
 		} else {
 			s.broadcastPkts.Add(1)
 		}
@@ -429,12 +427,4 @@ func (s *Server) broadcast(fl *runtime.Flow, in runtime.Record) (runtime.Record,
 // BroadcastStats reports per-recipient state sends and send errors.
 func (s *Server) BroadcastStats() (sent, errs uint64) {
 	return s.broadcastPkts.Load(), s.broadcastErrs.Load()
-}
-
-// LastBroadcastError returns the most recent send error text, or "".
-func (s *Server) LastBroadcastError() string {
-	if v := s.lastBroadcastErr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
 }

@@ -106,10 +106,6 @@ type Config struct {
 	// by path (the §5.2 profile), node latencies, queue depths, and the
 	// connection plane's sheds and admission counters.
 	Telemetry *telemetry.Telemetry
-	// AdmitWatermark, when > 0, sheds fresh connections with a 503 once
-	// the engine's sampled queue depths sum past it. 0 admits
-	// unboundedly.
-	AdmitWatermark int
 	// MaxConns, when > 0, caps live connections; accepts beyond it are
 	// shed with a 503.
 	MaxConns int
@@ -181,13 +177,12 @@ func New(cfg Config) (*Server, error) {
 		BindPredicate("TestInCache", func(v any) bool { return v.(*Tag).hit }).
 		MarkBlocking("ReadRequest", "Write")
 
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Telemetry.Observer())
+	obs := cfg.Telemetry.Observer()
 	rt, err := runtime.New(prog, b,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(netkit.SamplePeriod(cfg.AdmitWatermark)),
 		// Admission is external: the connection plane injects every flow.
 		runtime.WithKeepAlive(),
 	)
@@ -197,7 +192,6 @@ func New(cfg Config) (*Server, error) {
 	s.rt = rt
 	s.cp, err = netkit.NewFluxPlane(rt, "Listen", netkit.Config{
 		Addr:         cfg.Addr,
-		Gate:         gate,
 		MaxConns:     cfg.MaxConns,
 		ShedResponse: httpkit.Unavailable(),
 		WriteTimeout: cfg.WriteTimeout,

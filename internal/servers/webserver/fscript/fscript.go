@@ -165,9 +165,6 @@ func (e *Env) Set(name string, v Value) {
 // SetInt binds an integer variable.
 func (e *Env) SetInt(name string, v int64) { e.Set(name, IntVal(v)) }
 
-// SetStr binds a string variable.
-func (e *Env) SetStr(name, s string) { e.Set(name, StrVal(s)) }
-
 // Get looks a variable up.
 func (e *Env) Get(name string) (Value, bool) {
 	for i, n := range e.names {

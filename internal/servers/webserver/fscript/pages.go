@@ -157,9 +157,6 @@ func (b *BenchPages) DynStats() DynStats {
 	}
 }
 
-// FragStats exposes the fragment cache's hit/miss/eviction counters.
-func (b *BenchPages) FragStats() (hits, misses, evictions uint64) { return b.frag.Stats() }
-
 // Render serves a dynamic GET, returning the page as a string. It is
 // the convenience wrapper around RenderTo; hot paths call RenderTo with
 // a pooled buffer instead.

@@ -170,48 +170,75 @@ func TestHeaderDeadlineEndsWithItsRead(t *testing.T) {
 	}
 }
 
-// TestAdaptiveControllerWiring boots the server with a TargetP95 and
-// verifies the control loop is actually closed: a gate exists at the
+// TestAdaptiveControllerWiring pins both admission shapes of the
+// server. With no AdmitWatermark and no TargetP95 (the benchmark
+// child's shape) there is no gate, no controller and no conn cap. With
+// a TargetP95 the control loop is actually closed: a gate exists at the
 // default starting watermark, the plane's conn cap tracks 2× it, the
 // trajectory streams reach the configured observer, and requests are
 // served normally underneath.
 func TestAdaptiveControllerWiring(t *testing.T) {
-	files := loadgen.NewFileSet(1)
-	tel := telemetry.New()
-	srv, addr, stop := startServer(t, Config{
-		Files:     files,
-		Engine:    runtime.EventDriven,
-		TargetP95: 30 * time.Millisecond,
-		Telemetry: tel,
-	})
-	defer stop()
-
-	if srv.Controller() == nil {
-		t.Fatal("no controller with TargetP95 set")
-	}
-	if srv.Gate() == nil {
-		t.Fatal("no gate with TargetP95 set")
-	}
-	if wm := srv.Gate().Watermark(); wm != 64 {
-		t.Errorf("initial watermark = %d, want the default 64", wm)
-	}
-	if cap, wm := srv.cp.Plane().MaxConns(), srv.Gate().Watermark(); cap != 2*wm {
-		t.Errorf("conn cap = %d, want 2×watermark = %d", cap, 2*wm)
-	}
-
-	if status, _ := get(t, addr, files.Path(0, 0, 1)); status != 200 {
-		t.Fatalf("status = %d", status)
-	}
-
-	// Within a couple of control intervals the trajectory streams land
-	// on the telemetry plane's queue-depth surface.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if streamMax(tel, runtime.EventDriven, runtime.CtrlWatermark) >= 64 {
-			return
+	t.Run("ZeroConfig", func(t *testing.T) {
+		files := loadgen.NewFileSet(1)
+		srv, addr, stop := startServer(t, Config{
+			Files:     files,
+			Engine:    runtime.ThreadPool,
+			PoolSize:  4,
+			Telemetry: telemetry.New(),
+		})
+		defer stop()
+		if srv.Gate() != nil {
+			t.Error("gate without AdmitWatermark or TargetP95")
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("no %s trajectory reached the telemetry plane (max=%d)",
-		runtime.CtrlWatermark, streamMax(tel, runtime.EventDriven, runtime.CtrlWatermark))
+		if srv.Controller() != nil {
+			t.Error("controller without TargetP95")
+		}
+		if cap := srv.cp.Plane().MaxConns(); cap != 0 {
+			t.Errorf("conn cap = %d, want 0 (unbounded)", cap)
+		}
+		if status, _ := get(t, addr, files.Path(0, 0, 1)); status != 200 {
+			t.Fatalf("status = %d", status)
+		}
+	})
+
+	t.Run("TargetP95", func(t *testing.T) {
+		files := loadgen.NewFileSet(1)
+		tel := telemetry.New()
+		srv, addr, stop := startServer(t, Config{
+			Files:     files,
+			Engine:    runtime.EventDriven,
+			TargetP95: 30 * time.Millisecond,
+			Telemetry: tel,
+		})
+		defer stop()
+
+		if srv.Controller() == nil {
+			t.Fatal("no controller with TargetP95 set")
+		}
+		if srv.Gate() == nil {
+			t.Fatal("no gate with TargetP95 set")
+		}
+		if wm := srv.Gate().Watermark(); wm != 64 {
+			t.Errorf("initial watermark = %d, want the default 64", wm)
+		}
+		if cap, wm := srv.cp.Plane().MaxConns(), srv.Gate().Watermark(); cap != 2*wm {
+			t.Errorf("conn cap = %d, want 2×watermark = %d", cap, 2*wm)
+		}
+
+		if status, _ := get(t, addr, files.Path(0, 0, 1)); status != 200 {
+			t.Fatalf("status = %d", status)
+		}
+
+		// Within a couple of control intervals the trajectory streams land
+		// on the telemetry plane's queue-depth surface.
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if streamMax(tel, runtime.EventDriven, runtime.CtrlWatermark) >= 64 {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		t.Fatalf("no %s trajectory reached the telemetry plane (max=%d)",
+			runtime.CtrlWatermark, streamMax(tel, runtime.EventDriven, runtime.CtrlWatermark))
+	})
 }

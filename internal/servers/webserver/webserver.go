@@ -155,12 +155,6 @@ type Config struct {
 	// down, and the shed is counted — the write-side twin of
 	// HeaderTimeout/IdleTimeout.
 	WriteTimeout time.Duration
-	// ListenShards, when > 1, opens that many SO_REUSEPORT accept
-	// shards (one accept loop each) so accepted connections spread
-	// across cores at the socket layer — pair it with the steal
-	// engine's dispatcher count. Platforms without SO_REUSEPORT fall
-	// back to a single listener and serve identically.
-	ListenShards int
 }
 
 // Server is a runnable Flux web server, driven through the same
@@ -220,15 +214,8 @@ func New(cfg Config) (*Server, error) {
 		// input signal) and meets the plane after the runtime exists.
 		ctrl, err := netkit.NewController(netkit.ControllerConfig{
 			Target: cfg.TargetP95,
-			// Tighter than the netkit defaults: a 50ms period detects an
-			// overshoot one window after it starts, and probing up by 4
-			// admits a burst small enough that its queueing delay stays
-			// inside the SLO band instead of spiking served p95 (the AIMD
-			// limit cycle's amplitude is the up-step's queueing cost).
-			Interval: 50 * time.Millisecond,
-			Step:     4,
-			Kind:     cfg.Engine,
-			Sink:     cfg.Telemetry.Observer(),
+			Kind:   cfg.Engine,
+			Sink:   cfg.Telemetry.Observer(),
 		}, gate, nil)
 		if err != nil {
 			return nil, fmt.Errorf("webserver: %w", err)
@@ -279,7 +266,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConns:     cfg.MaxConns,
 		ShedResponse: httpkit.Unavailable(),
 		WriteTimeout: cfg.WriteTimeout,
-		ListenShards: cfg.ListenShards,
 		Observer:     obs,
 		Name:         "webserver",
 	})

@@ -122,6 +122,39 @@ func TestDynamicPage(t *testing.T) {
 	}
 }
 
+// TestDynamicMixStaysCompiled is the fragment cache's precondition:
+// mixed_openloop's dynamic mix — ad-rotation GETs, work pages and POSTs
+// — is served entirely by the compiled pages, so neither the
+// interpreter nor the fragment cache behind it is ever reached.
+func TestDynamicMixStaysCompiled(t *testing.T) {
+	srv, addr, stop := startServer(t, Config{Engine: runtime.ThreadPool, PoolSize: 4})
+	defer stop()
+
+	const rounds = 16
+	for k := 0; k < rounds; k++ {
+		if status, body := get(t, addr, fmt.Sprintf("/adrotate?u=%d&r=%d", k*5%64, k)); status != 200 || body == "" {
+			t.Fatalf("ad page %d: status %d, %d bytes", k, status, len(body))
+		}
+		if status, body := get(t, addr, "/dynamic?n=2000"); status != 200 || !strings.Contains(body, "work=2000") {
+			t.Fatalf("work page %d: status %d, body %q", k, status, truncate(body))
+		}
+		form := fmt.Sprintf("uid=%d&seq=%d&field=specweb", k*37, k)
+		resp := exchange(t, addr, fmt.Sprintf(
+			"POST /post HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", len(form), form))
+		if !strings.HasPrefix(resp, "HTTP/1.1 200") || !strings.Contains(resp, fmt.Sprintf("received %d bytes", len(form))) {
+			t.Fatalf("post %d: %q", k, truncate(resp))
+		}
+	}
+
+	st := srv.Pages().DynStats()
+	if st.FragHits != 0 || st.Interpreted != 0 {
+		t.Errorf("dynamic mix left the compiled path: %+v", st)
+	}
+	if st.Compiled != 2*rounds {
+		t.Errorf("compiled renders = %d, want %d (one per dynamic GET)", st.Compiled, 2*rounds)
+	}
+}
+
 func TestKeepAliveServesMultipleRequests(t *testing.T) {
 	files := loadgen.NewFileSet(1)
 	_, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPool, PoolSize: 4})

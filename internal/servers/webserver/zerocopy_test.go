@@ -1,10 +1,9 @@
 package webserver
 
 // Tests for the zero-copy static path: sendfile must serve large
-// bodies intact and bypass the cache, SO_REUSEPORT sharding must serve
-// transparently, and a client that stops draining its socket
-// (write-side slow loris) must be torn down and counted. Wire parity
-// with the baselines lives in parity_test.go.
+// bodies intact and bypass the cache, and a client that stops draining
+// its socket (write-side slow loris) must be torn down and counted.
+// Wire parity with the baselines lives in parity_test.go.
 
 import (
 	"fmt"
@@ -120,28 +119,5 @@ func TestWriteTimeoutShedsStalledClient(t *testing.T) {
 	// The worker the stalled client held is free again.
 	if status, _ := get(t, addr, files.Path(0, 0, 1)); status != 200 {
 		t.Errorf("post-stall request: status = %d", status)
-	}
-}
-
-// TestListenShardsServe: a sharded server serves normally; on Linux the
-// plane must actually have opened the requested shard count, elsewhere
-// the single-listener fallback serves identically.
-func TestListenShardsServe(t *testing.T) {
-	files := loadgen.NewFileSet(1)
-	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPool, PoolSize: 4, ListenShards: 2})
-	defer stop()
-
-	if got := s.cp.Shards(); goruntime.GOOS == "linux" && got != 2 {
-		t.Errorf("Shards() = %d, want 2 on linux", got)
-	} else if got < 1 {
-		t.Errorf("Shards() = %d, want >= 1", got)
-	}
-	for i := 0; i < 20; i++ {
-		path := files.Path(0, 0, 1+i%9)
-		status, body := get(t, addr, path)
-		want, _ := files.Lookup(path)
-		if status != 200 || body != string(want) {
-			t.Fatalf("request %d: status=%d len=%d", i, status, len(body))
-		}
 	}
 }

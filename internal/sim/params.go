@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"time"
-
 	"github.com/flux-lang/flux/internal/core"
 	"github.com/flux-lang/flux/internal/telemetry"
 )
@@ -61,22 +59,4 @@ func FromTelemetry(prog *core.Program, t *telemetry.Telemetry) Params {
 		}
 	}
 	return params
-}
-
-// ScaleNodeTimes multiplies every node mean by f — handy for exploring
-// "what if this node were twice as fast" questions before touching code.
-func (p *Params) ScaleNodeTimes(f float64) {
-	for k, v := range p.NodeTime {
-		p.NodeTime[k] = v * f
-	}
-}
-
-// SetUniformNodeTime assigns one mean service time to every listed node.
-func (p *Params) SetUniformNodeTime(d time.Duration, nodes ...string) {
-	if p.NodeTime == nil {
-		p.NodeTime = make(map[string]float64)
-	}
-	for _, n := range nodes {
-		p.NodeTime[n] = d.Seconds()
-	}
 }

@@ -307,15 +307,3 @@ func (r GraphReport) Render() string {
 	}
 	return b.String()
 }
-
-// RenderNodes formats the per-node bottleneck table.
-func (r GraphReport) RenderNodes() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Node profile for source %s:\n", r.Source)
-	fmt.Fprintf(&b, "%-24s  %10s  %12s  %12s\n", "node", "count", "total", "mean")
-	for _, row := range r.Nodes {
-		fmt.Fprintf(&b, "%-24s  %10d  %12s  %12s\n",
-			row.Name, row.Count, row.Total.Round(time.Microsecond), row.Mean().Round(time.Nanosecond))
-	}
-	return b.String()
-}
