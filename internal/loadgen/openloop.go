@@ -50,10 +50,18 @@ func openLoopLoad(ctx context.Context, cfg WebClientConfig, rec *webRecorders) {
 	// when the pacer falls behind (a burst of short gaps, or scheduler
 	// hiccups) arrivals fire back-to-back until the schedule catches up,
 	// rather than resynchronizing to "now" — resync would silently erase
-	// offered load exactly when the system is struggling.
+	// offered load exactly when the system is struggling. The run ends
+	// with the last arrival scheduled before the deadline: ctx.Err()
+	// turns non-nil only when the context's timer runs, after the
+	// deadline, and an arrival in between would dial into a cut-off run.
+	deadline, hasDeadline := ctx.Deadline()
 	next := time.Now()
 	for {
 		next = next.Add(time.Duration(rng.ExpFloat64() / cfg.OfferedRate * float64(time.Second)))
+		if hasDeadline && !next.Before(deadline) {
+			wg.Wait()
+			return
+		}
 		if wait := time.Until(next); wait > 0 {
 			timer.Reset(wait)
 			select {
@@ -67,6 +75,9 @@ func openLoopLoad(ctx context.Context, cfg WebClientConfig, rec *webRecorders) {
 			return
 		}
 
+		// The arrival is stamped before it is counted, so one counted
+		// before the warm-up reset is never recorded after it.
+		at := time.Now()
 		rec.offered.Add(1)
 		if inFlight.Load() >= maxInFlight {
 			rec.clientSheds.Add(1)
@@ -81,21 +92,33 @@ func openLoopLoad(ctx context.Context, cfg WebClientConfig, rec *webRecorders) {
 		go func(op WebOp) {
 			defer wg.Done()
 			defer inFlight.Add(-1)
-			openLoopRequest(ctx, cfg, op, rec)
+			openLoopRequest(ctx, cfg, op, at, rec)
 		}(op)
 	}
 }
 
+// runOver reports whether the run has ended: the context is done, or
+// its deadline has passed and its timer has not yet run.
+func runOver(ctx context.Context) bool {
+	deadline, ok := ctx.Deadline()
+	return ctx.Err() != nil || ok && !time.Now().Before(deadline)
+}
+
 // openLoopRequest performs one arrival's conversation: dial, one
-// request (announcing Connection: close), one response.
-func openLoopRequest(ctx context.Context, cfg WebClientConfig, op WebOp, rec *webRecorders) {
+// request (announcing Connection: close), one response. A failure is
+// an error only while the run lasts: a request the deadline cuts off,
+// or one that starts after it, is the end of the run, not a server
+// failure. An arrival at, from before the measurement window's start,
+// belongs to the warm-up and is not recorded.
+func openLoopRequest(ctx context.Context, cfg WebClientConfig, op WebOp, at time.Time, rec *webRecorders) {
 	d := net.Dialer{Timeout: 2 * time.Second}
 	start := time.Now()
+	if runOver(ctx) {
+		return
+	}
 	conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
 	if err != nil {
-		// A dial cut off by the run deadline is the end of the run, not
-		// a server failure.
-		if ctx.Err() == nil {
+		if !runOver(ctx) {
 			rec.errs.Add(1)
 		}
 		return
@@ -107,19 +130,19 @@ func openLoopRequest(ctx context.Context, cfg WebClientConfig, op WebOp, rec *we
 		conn.SetDeadline(deadline.Add(2 * time.Second))
 	}
 	if err := writeOp(conn, op, true); err != nil {
-		if ctx.Err() == nil {
+		if !runOver(ctx) {
 			rec.errs.Add(1)
 		}
 		return
 	}
 	n, status, _, err := readResponse(bufio.NewReader(conn))
 	if err != nil {
-		if ctx.Err() == nil {
+		if !runOver(ctx) {
 			rec.errs.Add(1)
 		}
 		return
 	}
-	if ctx.Err() != nil {
+	if runOver(ctx) || at.UnixNano() < rec.winStart.Load() {
 		return
 	}
 	if status == 503 {

@@ -53,6 +53,31 @@ func TestOpenLoopOfferedRate(t *testing.T) {
 	}
 }
 
+// TestOpenLoopNoErrorsUnderCapacity: well under a server's capacity,
+// an open-loop run counts no errors. Every arrival is scheduled before
+// the run's deadline, and a request the deadline cuts off is the end of
+// the run, not a failure; many short runs make the deadline race
+// frequent.
+func TestOpenLoopNoErrorsUnderCapacity(t *testing.T) {
+	srv := startStubWebServer(t, 0)
+	files := NewFileSet(1)
+	for seed := int64(0); seed < 20; seed++ {
+		res := RunWebLoad(context.Background(), WebClientConfig{
+			Addr:        srv.ln.Addr().String(),
+			Files:       files,
+			OfferedRate: 2000,
+			Duration:    50 * time.Millisecond,
+			Seed:        100 + seed,
+		})
+		if res.Requests == 0 {
+			t.Fatalf("run %d served nothing: %+v", seed, res)
+		}
+		if res.Errors != 0 {
+			t.Errorf("run %d: %d errors of %d offered", seed, res.Errors, res.Offered)
+		}
+	}
+}
+
 // TestOpenLoopInFlightCap: against a server that accepts and never
 // responds, the generator must hold exactly MaxInFlight requests open
 // and shed every further arrival client-side — the generator cannot be

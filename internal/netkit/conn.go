@@ -47,6 +47,11 @@ type Conn struct {
 	br    *bufio.Reader
 	plane *Plane
 
+	// sock is the accepted socket's pollable file and its net.Conn view
+	// (nc points at it), kept inside the pooled Conn so an accept
+	// allocates no net.Conn of its own. Unused for adopted conns.
+	sock fileConn
+
 	// writeTimeout, when > 0, arms a write deadline before every write
 	// through the Conn (Write, WriteVec, SendFile), so a dead or
 	// zero-window client cannot pin the writing goroutine forever —
@@ -54,25 +59,18 @@ type Conn struct {
 	// deadline cuts off is counted as the plane's shed.
 	writeTimeout time.Duration
 
-	// vec and vecBack are the reusable two-element scatter list for
-	// WriteVec; kept on the Conn (not a local) so net.Buffers.WriteTo —
-	// which takes the slice's address and consumes it — never forces a
-	// heap allocation on the static hot path.
-	vec     net.Buffers
-	vecBack [2][]byte
-
 	// rec is the record {c} every flow on the connection is admitted
 	// with (FluxPlane's Inject and Continue). Its content never changes
 	// while the Conn is live, and a connection has one flow at a time,
 	// so the flows share it instead of allocating one each.
 	rec [1]any
 
-	// rc is the TCP connection's RawConn, fetched on the connection's
-	// first SendFile. sendStep is the send loop's step bound once per
-	// pooled Conn and sf its arguments, so the loop allocates nothing.
-	rc       syscall.RawConn
-	sendStep func(fd uintptr) bool
-	sf       sendfileArgs
+	// rc is the transport's RawConn, fetched once when the Conn is
+	// built; nil for a transport with no file descriptor (net.Pipe).
+	// Every write goes through it, and w holds the write loops' state
+	// on the Conn, so a write allocates nothing.
+	rc syscall.RawConn
+	w  writeState
 
 	// Served counts requests answered on this connection; the owner
 	// increments it to enforce keep-alive caps.
@@ -91,12 +89,35 @@ func newPooledConn() *Conn {
 	return c
 }
 
-// newConn wraps an accepted connection in pooled state.
+// newConn wraps an adopted connection (dialed, or a test's pipe) in
+// pooled state, with the connection's RawConn when it has one.
 func newConn(p *Plane, nc net.Conn) *Conn {
+	var rc syscall.RawConn
+	if sc, ok := nc.(syscall.Conn); ok {
+		rc, _ = sc.SyscallConn()
+	}
 	c := connPool.Get().(*Conn)
+	c.init(p, nc, rc)
+	return c
+}
+
+// newSockConn wraps an accepted socket's pollable file in pooled state.
+// The Conn's own view of the file is its net.Conn, so the file and its
+// RawConn are all the connection allocates.
+func newSockConn(p *Plane, f *os.File) *Conn {
+	rc, _ := f.SyscallConn()
+	c := connPool.Get().(*Conn)
+	c.sock.f = f
+	c.init(p, &c.sock, rc)
+	return c
+}
+
+// init readies a Conn taken from the pool for nc.
+func (c *Conn) init(p *Plane, nc net.Conn, rc syscall.RawConn) {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(nc)
 	c.nc = nc
+	c.rc = rc
 	c.br = br
 	c.plane = p
 	c.Served = 0
@@ -105,13 +126,23 @@ func newConn(p *Plane, nc net.Conn) *Conn {
 		c.writeTimeout = p.cfg.WriteTimeout
 	}
 	c.closed.Store(false)
-	return c
+}
+
+// transport is what the plane's shutdown sweep closes: the socket
+// itself, never the pooled Conn, which may have been recycled onto
+// another connection by the time the sweep runs.
+func (c *Conn) transport() io.Closer {
+	if c.nc == &c.sock {
+		return c.sock.f
+	}
+	return c.nc
 }
 
 // Reader returns the connection's pooled buffered reader.
 func (c *Conn) Reader() *bufio.Reader { return c.br }
 
-// NetConn returns the underlying network connection.
+// NetConn returns the underlying network connection. For an accepted
+// socket it is a view kept inside the pooled Conn, valid until Close.
 func (c *Conn) NetConn() net.Conn { return c.nc }
 
 // Write writes directly to the underlying connection, under the plane's
@@ -125,7 +156,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 // response: that shed is counted once, under the reason it was shed for.
 func (c *Conn) write(p []byte) (int, error) {
 	c.armWriteDeadline()
-	return c.nc.Write(p)
+	n, err := c.writev(p, nil)
+	return int(n), err
 }
 
 // countTimeout counts a write whose deadline expired as the plane
@@ -153,11 +185,11 @@ func (c *Conn) armWriteDeadline() {
 // peer writer) use it instead of the plane-configured WriteTimeout.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.nc.SetWriteDeadline(t) }
 
-// WriteVec writes head and body as one response frame, vectored: on a
-// TCP connection both slices go to the kernel in a single writev(2), so
-// the response is never assembled in user space — the zero-copy static
-// path. Non-TCP connections degrade to sequential writes inside
-// net.Buffers. The frame either goes out whole or the transport is torn
+// WriteVec writes head and body as one response frame, vectored: both
+// slices go to the kernel in one writev(2) through the connection's
+// RawConn, so the response is never assembled in user space — the
+// zero-copy static path. A transport without a RawConn gets sequential
+// writes. The frame either goes out whole or the transport is torn
 // down: a short write (a write deadline expiring on a stalled client
 // mid-frame) closes the underlying socket immediately, so a later owner
 // cannot resume the connection mid-frame and corrupt the keep-alive
@@ -165,12 +197,8 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.nc.SetWriteDeadlin
 // error path retires it through Close as usual.
 func (c *Conn) WriteVec(head, body []byte) error {
 	c.armWriteDeadline()
-	c.vecBack[0], c.vecBack[1] = head, body
-	c.vec = net.Buffers(c.vecBack[:])
 	want := int64(len(head) + len(body))
-	n, err := c.vec.WriteTo(c.nc)
-	c.vec = nil
-	c.vecBack[0], c.vecBack[1] = nil, nil
+	n, err := c.writev(head, body)
 	if err == nil && n != want {
 		err = io.ErrShortWrite
 	}
@@ -184,8 +212,8 @@ func (c *Conn) WriteVec(head, body []byte) error {
 }
 
 // SendFile writes head, then bytes [0, size) of f, as one response
-// frame. On a TCP connection the head is queued with sendmsg(MSG_MORE)
-// so it leaves in the body's first segment, and the body moves with
+// frame. On a socket the head is queued with sendmsg(MSG_MORE) so it
+// leaves in the body's first segment, and the body moves with
 // sendfile(2) at explicit offsets — the bytes never enter user space,
 // and f's own offset is neither read nor moved, so one handle serves
 // every connection at once. Elsewhere the body is copied with ReadAt.
@@ -195,8 +223,8 @@ func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 	c.armWriteDeadline()
 	var sent int64
 	var err error
-	if tc, ok := c.nc.(*net.TCPConn); ok {
-		sent, err = c.sendfileTCP(tc, head, f, size)
+	if c.rc != nil {
+		sent, err = c.sendfile(head, f, size)
 	} else {
 		sent, err = c.sendCopy(head, f, size)
 	}
@@ -205,15 +233,6 @@ func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 		return c.countTimeout(fmt.Errorf("netkit: sendfile %d/%d bytes: %w", sent, int64(len(head))+size, err))
 	}
 	return nil
-}
-
-// sendfileArgs carries one SendFile through sendfileStep.
-type sendfileArgs struct {
-	head     []byte // head bytes not yet sent
-	fd       int    // the file's descriptor
-	off, end int64  // body bytes [off, end) not yet sent
-	sent     int64
-	err      error
 }
 
 // sendCopy is SendFile on a transport without sendfile(2).
@@ -254,6 +273,7 @@ func (c *Conn) Close() error {
 	br := c.br
 	c.br = nil
 	c.nc = nil
+	c.sock.f = nil
 	c.plane = nil
 	c.rc = nil
 	c.Served = 0
@@ -261,4 +281,44 @@ func (c *Conn) Close() error {
 	readerPool.Put(br)
 	connPool.Put(c)
 	return err
+}
+
+// fileConn is an accepted socket's net.Conn: a view of its pollable
+// *os.File, so reads, writes and deadlines run on the runtime poller
+// as a *net.TCPConn's do, and a deadline error is a net.Error timeout
+// (wrapped in an *os.PathError). The addresses are looked up only when
+// asked for; no server asks.
+type fileConn struct{ f *os.File }
+
+func (fc *fileConn) Read(b []byte) (int, error)         { return fc.f.Read(b) }
+func (fc *fileConn) Write(b []byte) (int, error)        { return fc.f.Write(b) }
+func (fc *fileConn) Close() error                       { return fc.f.Close() }
+func (fc *fileConn) LocalAddr() net.Addr                { return fc.addr(syscall.Getsockname) }
+func (fc *fileConn) RemoteAddr() net.Addr               { return fc.addr(syscall.Getpeername) }
+func (fc *fileConn) SetDeadline(t time.Time) error      { return fc.f.SetDeadline(t) }
+func (fc *fileConn) SetReadDeadline(t time.Time) error  { return fc.f.SetReadDeadline(t) }
+func (fc *fileConn) SetWriteDeadline(t time.Time) error { return fc.f.SetWriteDeadline(t) }
+
+// addr asks the kernel for one of the socket's addresses; nil once the
+// socket is closed, as for a closed *net.TCPConn.
+func (fc *fileConn) addr(get func(fd int) (syscall.Sockaddr, error)) net.Addr {
+	rc, err := fc.f.SyscallConn()
+	if err != nil {
+		return nil
+	}
+	var sa syscall.Sockaddr
+	if rc.Control(func(fd uintptr) { sa, _ = get(int(fd)) }) != nil {
+		return nil
+	}
+	switch sa := sa.(type) {
+	case *syscall.SockaddrInet4:
+		return &net.TCPAddr{IP: sa.Addr[:], Port: sa.Port}
+	case *syscall.SockaddrInet6:
+		a := &net.TCPAddr{IP: sa.Addr[:], Port: sa.Port}
+		if ifi, err := net.InterfaceByIndex(int(sa.ZoneId)); err == nil {
+			a.Zone = ifi.Name
+		}
+		return a
+	}
+	return nil
 }

@@ -371,10 +371,11 @@ func TestPlaneLifecycle(t *testing.T) {
 		}
 		_, _ = io.ReadAll(conn) // Admit closes: EOF
 		conn.Close()
-		// Accepted is counted before Admit runs (Admitted only after it
-		// returns, which may be after the client sees EOF).
-		if got := p.Stats().Accepted; got != 1 {
-			t.Fatalf("accepted = %d, want 1", got)
+		// Both counts are taken before the hand-over, so the books
+		// balance as soon as the client sees EOF, even while Admit has
+		// not yet returned.
+		if st := p.Stats(); st.Accepted != 1 || st.Accepted != st.Admitted+st.Shed {
+			t.Fatalf("stats = %+v, want Accepted = 1 = Admitted + Shed", st)
 		}
 	}
 	waitRetired := func(t *testing.T, p *Plane) {

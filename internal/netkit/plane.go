@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"github.com/flux-lang/flux/internal/runtime"
@@ -80,6 +81,11 @@ type Plane struct {
 	cfg  Config
 	name string
 	ln   net.Listener
+	acc  acceptor
+
+	// quit closes when shutdown begins, ending the accept loop's
+	// backoff after a failed accept.
+	quit chan struct{}
 
 	accepted atomic.Uint64
 	admitted atomic.Uint64
@@ -91,7 +97,7 @@ type Plane struct {
 	maxConns atomic.Int64
 
 	mu      sync.Mutex
-	conns   map[*Conn]net.Conn
+	conns   map[*Conn]io.Closer // each live Conn's transport
 	closing bool
 
 	closeOnce  sync.Once
@@ -111,7 +117,11 @@ func Listen(cfg Config) (*Plane, error) {
 	if name == "" {
 		name = ln.Addr().String()
 	}
-	p := &Plane{cfg: cfg, name: name, ln: ln, conns: make(map[*Conn]net.Conn)}
+	p := &Plane{cfg: cfg, name: name, ln: ln, quit: make(chan struct{}), conns: make(map[*Conn]io.Closer)}
+	if err := p.acc.open(ln); err != nil {
+		ln.Close()
+		return nil, err
+	}
 	p.maxConns.Store(int64(cfg.MaxConns))
 	return p, nil
 }
@@ -160,15 +170,33 @@ func (p *Plane) Start(ctx context.Context) error {
 	return nil
 }
 
+// Backoff after a failed accept, as net/http's Serve does: the
+// connection waits in the listen backlog while the process is out of
+// descriptors or buffers (EMFILE, ENFILE, ENOBUFS), and the loop tries
+// again instead of dying with the server still up.
+const (
+	acceptRetryMin = 5 * time.Millisecond
+	acceptRetryMax = time.Second
+)
+
 func (p *Plane) acceptLoop() {
 	defer close(p.acceptDone)
+	var delay time.Duration
 	for {
-		nc, err := p.ln.Accept()
+		c, err := p.acc.accept(p)
 		if err != nil {
-			return // listener closed
+			delay = min(max(2*delay, acceptRetryMin), acceptRetryMax)
+			t := time.NewTimer(delay)
+			select {
+			case <-p.quit: // the listener is closed
+				t.Stop()
+				return
+			case <-t.C:
+			}
+			continue
 		}
+		delay = 0
 		p.accepted.Add(1)
-		c := newConn(p, nc)
 		maxConns := p.maxConns.Load()
 		switch {
 		case maxConns > 0 && p.live.Load() >= maxConns:
@@ -183,13 +211,25 @@ func (p *Plane) acceptLoop() {
 				p.ShedConn(c, "closed")
 				continue
 			}
-			if err := p.cfg.Admit(c); err != nil {
+			if err := p.admit(c); err != nil {
 				p.ShedConn(c, "refused")
-			} else {
-				p.admitted.Add(1)
 			}
 		}
 	}
+}
+
+// admit hands a tracked connection to Admit. It is counted admitted
+// before the hand-over, because its owner may serve and close it before
+// Admit returns; a refusal takes the count back before the caller
+// counts the shed, so Admitted + Shed never exceeds the connections
+// the plane was given.
+func (p *Plane) admit(c *Conn) error {
+	p.admitted.Add(1)
+	err := p.cfg.Admit(c)
+	if err != nil {
+		p.admitted.Add(^uint64(0))
+	}
+	return err
 }
 
 // AdoptAndAdmit wraps an outbound (dialed) connection in pooled Conn
@@ -205,11 +245,10 @@ func (p *Plane) AdoptAndAdmit(nc net.Conn) error {
 		p.dropConn(c, "closed")
 		return ErrPlaneClosed
 	}
-	if err := p.cfg.Admit(c); err != nil {
+	if err := p.admit(c); err != nil {
 		p.dropConn(c, "refused")
 		return err
 	}
-	p.admitted.Add(1)
 	return nil
 }
 
@@ -245,16 +284,19 @@ const (
 // RST, which can destroy the in-flight 503 on the client side — the
 // shed would then surface as a read error and corrupt the very
 // sheds-vs-errors split overload measurements depend on. The FIN from
-// CloseWrite tells the client the response is complete; the bounded
+// the half-close tells the client the response is complete; the bounded
 // drain absorbs its pipeline until it hangs up.
 func drainAndClose(c *Conn) {
-	if tc, ok := c.nc.(*net.TCPConn); ok {
-		_ = tc.CloseWrite()
+	if c.rc != nil {
+		_ = c.rc.Control(shutdownWrite)
 	}
 	_ = c.nc.SetReadDeadline(time.Now().Add(shedDrainTimeout))
 	_, _ = io.CopyN(io.Discard, c.nc, shedDrainLimit)
 	c.Close()
 }
+
+// shutdownWrite half-closes a socket: shutdown(SHUT_WR).
+func shutdownWrite(fd uintptr) { _ = syscall.Shutdown(int(fd), syscall.SHUT_WR) }
 
 // DropConn sheds a connection without writing a response — the
 // between-requests variant (no request is outstanding to answer, e.g. a
@@ -288,7 +330,7 @@ func (p *Plane) track(c *Conn) bool {
 		p.mu.Unlock()
 		return false
 	}
-	p.conns[c] = c.nc
+	p.conns[c] = c.transport()
 	p.mu.Unlock()
 	p.live.Add(1)
 	return true
@@ -314,16 +356,18 @@ func (p *Plane) untrack(c *Conn) {
 // the usual Close.
 func (p *Plane) beginShutdown() {
 	p.closeOnce.Do(func() {
+		close(p.quit)
 		p.ln.Close()
+		p.acc.close()
 		p.mu.Lock()
 		p.closing = true
-		ncs := make([]net.Conn, 0, len(p.conns))
-		for _, nc := range p.conns {
-			ncs = append(ncs, nc)
+		ts := make([]io.Closer, 0, len(p.conns))
+		for _, t := range p.conns {
+			ts = append(ts, t)
 		}
 		p.mu.Unlock()
-		for _, nc := range ncs {
-			nc.Close()
+		for _, t := range ts {
+			t.Close()
 		}
 	})
 }

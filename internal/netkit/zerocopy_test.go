@@ -189,8 +189,10 @@ func TestWriteTimeoutCountsOneShedPerFailure(t *testing.T) {
 	}
 	for i, w := range writes {
 		c := stalled()
-		if err := w.write(c); err == nil {
-			t.Fatalf("%s to a stalled peer succeeded", w.name)
+		err := w.write(c)
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("%s to a stalled peer: error = %v, want a net.Error timeout", w.name, err)
 		}
 		c.Close()
 		if got := p.Stats().Shed; got != uint64(i+1) {
@@ -210,6 +212,33 @@ func TestWriteTimeoutCountsOneShedPerFailure(t *testing.T) {
 	}
 	if got := rec.count("stalled/write-timeout"); got != len(writes) {
 		t.Errorf("ShedConn's timed-out 503 counted as a write-timeout too (%d)", got)
+	}
+}
+
+// TestAcceptedConnReadTimeoutIsNetError: an accepted socket is an
+// *os.File underneath, so a read deadline surfaces as an
+// *os.PathError; it must still read as a net.Error timeout, the check
+// every server's deadline handling makes.
+func TestAcceptedConnReadTimeoutIsNetError(t *testing.T) {
+	admitted := make(chan *Conn, 1)
+	p, stop := startPlane(t, Config{Admit: func(c *Conn) error { admitted <- c; return nil }})
+	defer stop()
+	client, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	c := <-admitted
+	defer c.Close()
+
+	_ = c.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	_, err = c.Reader().ReadByte()
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("read past the deadline: error = %v, want a net.Error timeout", err)
+	}
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("error = %v, want os.ErrDeadlineExceeded", err)
 	}
 }
 

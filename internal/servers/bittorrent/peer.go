@@ -28,7 +28,7 @@ import (
 // unblocks the pump and lets it retire.
 type Peer struct {
 	conn *netkit.Conn  // pooled plane state; retired exactly once
-	nc   net.Conn      // raw socket: safe to close/write after retirement
+	nc   net.Conn      // the socket: written under writeMu, closed under closeMu, both before retirement
 	br   *bufio.Reader // pooled reader: handshake + pump only, dead after retirement
 	id   [20]byte
 	// session is the Flux session identifier for this peer.
@@ -66,6 +66,7 @@ type Peer struct {
 	onWriteTimeout func()
 
 	writeMu sync.Mutex
+	closeMu sync.Mutex
 	closed  atomic.Bool
 
 	bytesOut atomic.Uint64
@@ -104,17 +105,27 @@ func (p *Peer) send(m *Message) error {
 
 // interrupt closes the raw socket once, unblocking the pump (which then
 // retires the pooled conn and reports the close through the inbox).
+// closeMu orders it before retire's recycling: nc may be a view kept
+// inside the pooled conn, so a close after retirement could reach the
+// next connection to use that state.
 func (p *Peer) interrupt() {
-	if p.closed.CompareAndSwap(false, true) {
+	p.closeMu.Lock()
+	if !p.closed.Load() {
+		p.closed.Store(true)
 		p.nc.Close()
 	}
+	p.closeMu.Unlock()
 }
 
 // retire closes the socket and returns the pooled conn state — called
 // by the conn's owner only: the pump on read-loop exit, or the accept
-// flow on handshake failure.
+// flow on handshake failure. A send already past its closed check
+// fails on the closed socket, and retire waits it out before
+// recycling, so no late send writes through recycled state.
 func (p *Peer) retire() {
-	p.closed.Store(true)
+	p.interrupt()
+	p.writeMu.Lock()
+	p.writeMu.Unlock()
 	p.conn.Close()
 }
 
