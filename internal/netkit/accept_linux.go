@@ -14,7 +14,8 @@ import (
 // acceptor accepts with accept4(2) into the pooled Conn. It works on a
 // pollable dup of the listener, because a *net.TCPListener's own
 // RawConn refuses Read, and it asks the kernel for no peer address, so
-// an accept builds no Sockaddr, TCPAddr, netFD or TCPConn.
+// an accept builds no Sockaddr, TCPAddr, netFD or TCPConn. The socket
+// options are set once, on the listener (setSockOpts).
 type acceptor struct {
 	f    *os.File
 	rc   syscall.RawConn
@@ -29,6 +30,10 @@ func (a *acceptor) open(ln net.Listener) error {
 		return err
 	}
 	if a.rc, err = f.SyscallConn(); err != nil {
+		f.Close()
+		return err
+	}
+	if err = a.rc.Control(setSockOpts); err != nil {
 		f.Close()
 		return err
 	}
@@ -51,7 +56,6 @@ func (a *acceptor) accept(p *Plane) (*Conn, error) {
 		a.err = nil
 		return nil, err
 	}
-	setSockOpts(a.fd)
 	return newSockConn(p, os.NewFile(uintptr(a.fd), "tcp")), nil
 }
 
@@ -84,13 +88,16 @@ const (
 	keepAliveCount        = 9
 )
 
-// setSockOpts sets the options net's accept sets: TCP_NODELAY and
-// keep-alive probes at the standard library's defaults. Like net, it
-// ignores their errors.
-func setSockOpts(fd int) {
-	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
-	_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE, 1)
-	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE, keepAliveIdleSecs)
-	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPINTVL, keepAliveIntervalSecs)
-	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPCNT, keepAliveCount)
+// setSockOpts sets, on the listening socket, the options net's accept
+// sets on each accepted one: TCP_NODELAY and keep-alive probes at the
+// standard library's defaults. Linux copies a listener's options into
+// every socket it accepts, so an accept makes no setsockopt(2) call.
+// Like net, it ignores their errors.
+func setSockOpts(fd uintptr) {
+	s := int(fd)
+	_ = syscall.SetsockoptInt(s, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
+	_ = syscall.SetsockoptInt(s, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE, 1)
+	_ = syscall.SetsockoptInt(s, syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE, keepAliveIdleSecs)
+	_ = syscall.SetsockoptInt(s, syscall.IPPROTO_TCP, syscall.TCP_KEEPINTVL, keepAliveIntervalSecs)
+	_ = syscall.SetsockoptInt(s, syscall.IPPROTO_TCP, syscall.TCP_KEEPCNT, keepAliveCount)
 }

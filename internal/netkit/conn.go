@@ -72,6 +72,10 @@ type Conn struct {
 	rc syscall.RawConn
 	w  writeState
 
+	// final marks the next frame as the connection's last (FinalFrame);
+	// the write that sends it clears it.
+	final bool
+
 	// Served counts requests answered on this connection; the owner
 	// increments it to enforce keep-alive caps.
 	Served int
@@ -121,6 +125,7 @@ func (c *Conn) init(p *Plane, nc net.Conn, rc syscall.RawConn) {
 	c.br = br
 	c.plane = p
 	c.Served = 0
+	c.final = false
 	c.writeTimeout = 0
 	if p != nil {
 		c.writeTimeout = p.cfg.WriteTimeout
@@ -156,8 +161,46 @@ func (c *Conn) Write(p []byte) (int, error) {
 // response: that shed is counted once, under the reason it was shed for.
 func (c *Conn) write(p []byte) (int, error) {
 	c.armWriteDeadline()
-	n, err := c.writev(p, nil)
+	n, err := c.writev(p, nil, c.takeFinal())
 	return int(n), err
+}
+
+// FinalFrame marks the next frame written through the Conn (Write,
+// WriteVec or SendFile) as the connection's last. The write half-closes
+// the connection once the frame is out: on Linux a vectored frame goes
+// out corked and shutdown(SHUT_WR) runs in the same step, so the
+// response and the FIN leave in one segment; elsewhere the frame is
+// followed by CloseWrite. The owner writes nothing more, and its Close
+// then only releases the descriptor. A transport with no half-close
+// (net.Pipe) writes the frame as any other.
+func (c *Conn) FinalFrame() { c.final = true }
+
+// takeFinal reads and clears the FinalFrame mark for the write starting.
+func (c *Conn) takeFinal() bool {
+	final := c.final
+	c.final = false
+	return final
+}
+
+// closeWrite ends a final frame on a transport the RawConn steps do
+// not write through: the Conn leaves the plane, then the transport is
+// half-closed where it has a half-close.
+func (c *Conn) closeWrite() {
+	c.leave()
+	if cw, ok := c.nc.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite()
+	}
+}
+
+// leave releases the plane's live tracking of the connection. It runs
+// before the FIN is sent — at a final frame's half-close, or at Close —
+// so a peer that has seen the FIN never finds the connection still
+// counted live, and MaxConns never sheds on a connection its client
+// already considers gone.
+func (c *Conn) leave() {
+	if c.plane != nil {
+		c.plane.untrack(c)
+	}
 }
 
 // countTimeout counts a write whose deadline expired as the plane
@@ -198,7 +241,7 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.nc.SetWriteDeadlin
 func (c *Conn) WriteVec(head, body []byte) error {
 	c.armWriteDeadline()
 	want := int64(len(head) + len(body))
-	n, err := c.writev(head, body)
+	n, err := c.writev(head, body, c.takeFinal())
 	if err == nil && n != want {
 		err = io.ErrShortWrite
 	}
@@ -221,13 +264,7 @@ func (c *Conn) WriteVec(head, body []byte) error {
 // cannot be reused mid-frame.
 func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 	c.armWriteDeadline()
-	var sent int64
-	var err error
-	if c.rc != nil {
-		sent, err = c.sendfile(head, f, size)
-	} else {
-		sent, err = c.sendCopy(head, f, size)
-	}
+	sent, err := c.sendfile(head, f, size, c.takeFinal())
 	if err != nil {
 		_ = c.nc.Close()
 		return c.countTimeout(fmt.Errorf("netkit: sendfile %d/%d bytes: %w", sent, int64(len(head))+size, err))
@@ -236,7 +273,7 @@ func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 }
 
 // sendCopy is SendFile on a transport without sendfile(2).
-func (c *Conn) sendCopy(head []byte, f *os.File, size int64) (int64, error) {
+func (c *Conn) sendCopy(head []byte, f *os.File, size int64, final bool) (int64, error) {
 	var n int
 	if len(head) > 0 {
 		var err error
@@ -248,6 +285,9 @@ func (c *Conn) sendCopy(head []byte, f *os.File, size int64) (int64, error) {
 	if err == nil && m != size {
 		err = io.ErrUnexpectedEOF
 	}
+	if final && err == nil {
+		c.closeWrite()
+	}
 	return int64(n) + m, err
 }
 
@@ -258,17 +298,13 @@ func (c *Conn) sendCopy(head []byte, f *os.File, size int64) (int64, error) {
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
 
 // Close closes the connection and returns its pooled state. It is
-// idempotent; the first call wins. The plane's live-connection tracking
-// is released here, before the socket closes: a peer that has seen the
-// FIN never finds the connection still counted live, so MaxConns never
-// sheds on a connection its client already considers gone.
+// idempotent; the first call wins. The Conn leaves the plane here, before
+// the socket closes, unless a final frame already took it out.
 func (c *Conn) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if c.plane != nil {
-		c.plane.untrack(c)
-	}
+	c.leave()
 	err := c.nc.Close()
 	br := c.br
 	c.br = nil

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"github.com/flux-lang/flux/internal/runtime"
@@ -256,12 +255,14 @@ func (p *Plane) AdoptAndAdmit(nc net.Conn) error {
 // shed response (503 with Connection: close for the HTTP servers) is
 // written, the connection closes, and the drop is counted and routed
 // through the Observer plane — never a silent default-branch close. It
-// counts once, under reason, even when the 503 itself times out.
+// counts once, under reason, even when the 503 itself times out. The
+// count comes first: the 503 is a final frame, so its FIN leaves with
+// it, and a client that has read EOF must find the shed counted.
 func (p *Plane) ShedConn(c *Conn, reason string) {
+	p.CountShed(reason)
 	if p.cfg.ShedResponse != nil {
+		c.FinalFrame()
 		if _, err := c.write(p.cfg.ShedResponse); err == nil {
-			p.shed.Add(1)
-			runtime.ConnShed(p.cfg.Observer, p.name, reason)
 			// Closing off the accept goroutine: the drain below can wait
 			// on the client, and sheds are exactly when accepts must not
 			// stall.
@@ -269,7 +270,7 @@ func (p *Plane) ShedConn(c *Conn, reason string) {
 			return
 		}
 	}
-	p.dropConn(c, reason)
+	c.Close()
 }
 
 // Bounds for draining a shed connection before closing it.
@@ -278,25 +279,19 @@ const (
 	shedDrainTimeout = 500 * time.Millisecond
 )
 
-// drainAndClose half-closes a shed connection and consumes whatever
-// request bytes the client already sent before closing it. Closing
-// with unread bytes in the receive queue makes the kernel answer with
-// RST, which can destroy the in-flight 503 on the client side — the
-// shed would then surface as a read error and corrupt the very
-// sheds-vs-errors split overload measurements depend on. The FIN from
-// the half-close tells the client the response is complete; the bounded
+// drainAndClose consumes whatever request bytes the client of a shed
+// connection already sent before closing it. Closing with unread bytes
+// in the receive queue makes the kernel answer with RST, which can
+// destroy the in-flight 503 on the client side — the shed would then
+// surface as a read error and corrupt the very sheds-vs-errors split
+// overload measurements depend on. The 503 is a final frame, so its FIN
+// has already told the client the response is complete; the bounded
 // drain absorbs its pipeline until it hangs up.
 func drainAndClose(c *Conn) {
-	if c.rc != nil {
-		_ = c.rc.Control(shutdownWrite)
-	}
 	_ = c.nc.SetReadDeadline(time.Now().Add(shedDrainTimeout))
 	_, _ = io.CopyN(io.Discard, c.nc, shedDrainLimit)
 	c.Close()
 }
-
-// shutdownWrite half-closes a socket: shutdown(SHUT_WR).
-func shutdownWrite(fd uintptr) { _ = syscall.Shutdown(int(fd), syscall.SHUT_WR) }
 
 // DropConn sheds a connection without writing a response — the
 // between-requests variant (no request is outstanding to answer, e.g. a

@@ -15,11 +15,13 @@ type writeState struct {
 	vecStep  func(fd uintptr) bool
 	sendStep func(fd uintptr) bool
 
-	bufs [2][]byte        // writev: bytes not yet sent
-	iov  [2]syscall.Iovec // writev: the scatter list handed to the kernel
-	sf   sendfileArgs     // sendfile
-	sent int64            // bytes sent by the current write
-	err  error            // the current write's failure
+	bufs  [2][]byte        // writev: bytes not yet sent
+	iov   [2]syscall.Iovec // writev: the scatter list handed to the kernel
+	msg   syscall.Msghdr   // writev of a final frame: sendmsg's header over iov
+	sf    sendfileArgs     // sendfile
+	final bool             // the frame is the connection's last
+	sent  int64            // bytes sent by the current write
+	err   error            // the current write's failure
 }
 
 // sendfileArgs carries one SendFile through sendfileStep.
@@ -31,33 +33,41 @@ type sendfileArgs struct {
 
 // writev writes head then body with writev(2) under the RawConn, which
 // waits for writability between steps and enforces the write deadline.
-// It returns the bytes sent; only an error leaves the frame short.
-func (c *Conn) writev(head, body []byte) (int64, error) {
+// A final frame goes out with sendmsg(2) and MSG_MORE instead, and the
+// same step then shuts the socket down for writing: the kernel sends the
+// corked tail with the FIN, so the response and the FIN leave in one
+// segment. It returns the bytes sent; only an error leaves the frame
+// short.
+func (c *Conn) writev(head, body []byte, final bool) (int64, error) {
 	if c.rc == nil {
-		return c.writeSeq(head, body)
+		return c.writeSeq(head, body, final)
 	}
 	w := &c.w
 	if w.vecStep == nil {
 		w.vecStep = c.writevStep
 	}
-	w.bufs = [2][]byte{head, body}
+	w.bufs, w.final = [2][]byte{head, body}, final
 	err := c.rc.Write(w.vecStep)
 	sent := w.sent
 	if err == nil {
 		err = w.err
 	}
-	w.bufs, w.iov, w.sent, w.err = [2][]byte{}, [2]syscall.Iovec{}, 0, nil
+	w.bufs, w.iov, w.msg, w.final, w.sent, w.err = [2][]byte{}, [2]syscall.Iovec{}, syscall.Msghdr{}, false, 0, nil
 	return sent, err
 }
 
 // writeSeq is writev on a transport without a RawConn.
-func (c *Conn) writeSeq(head, body []byte) (int64, error) {
+func (c *Conn) writeSeq(head, body []byte, final bool) (int64, error) {
 	n, err := c.nc.Write(head)
-	if err != nil || len(body) == 0 {
-		return int64(n), err
+	if err == nil && len(body) > 0 {
+		var m int
+		m, err = c.nc.Write(body)
+		n += m
 	}
-	m, err := c.nc.Write(body)
-	return int64(n + m), err
+	if final && err == nil {
+		c.closeWrite()
+	}
+	return int64(n), err
 }
 
 // writevStep sends as much of the frame as the socket takes, reporting
@@ -74,9 +84,22 @@ func (c *Conn) writevStep(fd uintptr) bool {
 			}
 		}
 		if k == 0 {
+			if w.final {
+				c.halfClose(fd)
+			}
 			return true
 		}
-		n, _, e := syscall.Syscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&w.iov[0])), uintptr(k))
+		op := "writev"
+		var n uintptr
+		var e syscall.Errno
+		if w.final {
+			op = "sendmsg"
+			w.msg.Iov = &w.iov[0]
+			setIovlen(&w.msg.Iovlen, k)
+			n, e = sendmsg(fd, &w.msg, syscall.MSG_MORE)
+		} else {
+			n, _, e = syscall.Syscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&w.iov[0])), uintptr(k))
+		}
 		switch e {
 		case 0:
 		case syscall.EAGAIN:
@@ -84,7 +107,7 @@ func (c *Conn) writevStep(fd uintptr) bool {
 		case syscall.EINTR:
 			continue
 		default:
-			w.err = os.NewSyscallError("writev", e)
+			w.err = os.NewSyscallError(op, e)
 			return true
 		}
 		if n == 0 {
@@ -100,20 +123,25 @@ func (c *Conn) writevStep(fd uintptr) bool {
 	}
 }
 
-// sendfile runs the send loop under the RawConn.
-func (c *Conn) sendfile(head []byte, f *os.File, size int64) (int64, error) {
+// sendfile runs the send loop under the RawConn; a final frame shuts
+// the socket down for writing after the body, in the same step. A
+// transport without a RawConn gets sendCopy.
+func (c *Conn) sendfile(head []byte, f *os.File, size int64, final bool) (int64, error) {
+	if c.rc == nil {
+		return c.sendCopy(head, f, size, final)
+	}
 	w := &c.w
 	if w.sendStep == nil {
 		w.sendStep = c.sendfileStep
 	}
-	w.sf = sendfileArgs{head: head, fd: int(f.Fd()), end: size}
+	w.sf, w.final = sendfileArgs{head: head, fd: int(f.Fd()), end: size}, final
 	err := c.rc.Write(w.sendStep)
 	runtime.KeepAlive(f)
 	sent := w.sent
 	if err == nil {
 		err = w.err
 	}
-	w.sf, w.sent, w.err = sendfileArgs{}, 0, nil
+	w.sf, w.final, w.sent, w.err = sendfileArgs{}, false, 0, nil
 	return sent, err
 }
 
@@ -157,8 +185,23 @@ func (c *Conn) sendfileStep(fd uintptr) bool {
 		}
 		w.sent += int64(n)
 	}
+	if w.final {
+		c.halfClose(fd)
+	}
 	return true
 }
+
+// halfClose ends a final frame inside its write step: the Conn leaves
+// the plane, then shutdown(SHUT_WR) sends the FIN. An error means the
+// peer is already gone, and the owner's Close follows either way.
+func (c *Conn) halfClose(fd uintptr) {
+	c.leave()
+	_ = syscall.Shutdown(int(fd), syscall.SHUT_WR)
+}
+
+// setIovlen sets a Msghdr's iovec count, a uint64 on 64-bit platforms
+// and a uint32 on 32-bit ones.
+func setIovlen[T ~uint32 | ~uint64](p *T, n int) { *p = T(n) }
 
 // maxSendfileChunk bounds one sendfile(2) call, as the standard library
 // does, so a large body cannot hold the socket in one call.

@@ -301,3 +301,36 @@ func TestWriteVecShortWriteTearsDown(t *testing.T) {
 	// The pooled state still has exactly one owner close.
 	c.Close()
 }
+
+// halfCloser is a TCP transport seen without its RawConn: writes take
+// the sequential path, which ends a final frame with CloseWrite.
+type halfCloser struct{ net.Conn }
+
+func (h halfCloser) CloseWrite() error { return h.Conn.(*net.TCPConn).CloseWrite() }
+
+// TestFinalFrameWithoutRawConn: on a transport the RawConn steps do not
+// write through, a final frame is followed by the transport's own
+// half-close, so the client reads the frame and then EOF before Close.
+func TestFinalFrameWithoutRawConn(t *testing.T) {
+	f, body := sharedFile(t, 4<<10)
+	hd := head(len(body))
+	for name, write := range map[string]func(*Conn) error{
+		"WriteVec": func(c *Conn) error { return c.WriteVec(hd, body) },
+		"SendFile": func(c *Conn) error { return c.SendFile(hd, f, int64(len(body))) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			server, client := tcpPair(t)
+			c := newConn(nil, halfCloser{server})
+			defer c.Close()
+			c.FinalFrame()
+			if err := write(c); err != nil {
+				t.Fatal(err)
+			}
+			_ = client.SetReadDeadline(time.Now().Add(2 * time.Second))
+			got, err := io.ReadAll(client)
+			if err != nil || !bytes.Equal(got, append(append([]byte(nil), hd...), body...)) {
+				t.Fatalf("read %d bytes, %v; want the %d-byte frame, then EOF before Close", len(got), err, len(hd)+len(body))
+			}
+		})
+	}
+}

@@ -297,11 +297,16 @@ func RenderDynamic(pages *fscript.BenchPages, r *Request, work int64) (Body, err
 }
 
 // Respond writes one complete response, announcing Connection: close
-// when last is set (the caller closes the connection after it). It is
-// the only response writer of the web and image servers. A write whose
-// deadline expires is counted as a shed by the connection plane; the
-// caller only has to retire the connection.
+// when last is set. A last response is the connection's final frame
+// (netkit.Conn.FinalFrame): it leaves with the FIN, and the caller
+// writes nothing more and closes the connection. It is the only
+// response writer of the web and image servers. A write whose deadline
+// expires is counted as a shed by the connection plane; the caller only
+// has to retire the connection.
 func Respond(c *netkit.Conn, code int, status, ctype string, body Body, last bool) error {
+	if last {
+		c.FinalFrame()
+	}
 	switch {
 	case body.page != nil:
 		// The header is rendered into the page buffer's spare capacity,
@@ -323,7 +328,8 @@ func Respond(c *netkit.Conn, code int, status, ctype string, body Body, last boo
 var notFoundPage = []byte("<html><body><h1>404 Not Found</h1></body></html>")
 
 // NotFound answers a request for an unknown path. The response
-// announces the close: a 404 ends the conversation.
+// announces the close and is the connection's final frame: a 404 ends
+// the conversation.
 func NotFound(c *netkit.Conn) error {
 	return Respond(c, 404, "Not Found", "text/html", Body{Bytes: notFoundPage}, true)
 }

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -199,5 +200,69 @@ func TestWireParityAcrossServers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPipelineAfterCloseAcrossServers: a client that pipelines a second
+// request behind a Connection: close one still receives the first
+// response whole, from every server, before the connection ends. The
+// server closes with the second request unread, so the kernel answers
+// with RST; the response and its FIN must be on the wire before it.
+func TestPipelineAfterCloseAcrossServers(t *testing.T) {
+	const iterations = 300
+	files := loadgen.NewFileSet(1)
+	path := files.Path(0, 1, 2)
+	body, _ := files.Lookup(path)
+	want := string(httpkit.WithCloseHeader(httpkit.Render(200, "OK", "text/html", body)))
+	raw := fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\nGET %s HTTP/1.1\r\nHost: t\r\n\r\n", path, path)
+	for _, tgt := range parityTargets(files) {
+		t.Run(tgt.name, func(t *testing.T) {
+			srv, err := tgt.make()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if err := srv.Shutdown(ctx); err != nil {
+					t.Errorf("shutdown: %v", err)
+				}
+			}()
+			for i := 0; i < iterations; i++ {
+				if got, err := pipelineAfterClose(srv.Addr(), raw); got != want {
+					t.Fatalf("iteration %d: read %d bytes %q ending in %v, want the %d-byte response %q",
+						i, len(got), truncate(got), err, len(want), truncate(want))
+				}
+			}
+		})
+	}
+}
+
+// pipelineAfterClose sends raw in one write and reads until EOF or a
+// reset, returning what arrived and how the read ended.
+func pipelineAfterClose(addr, raw string) (string, error) {
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		return "", err
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, raw); err != nil {
+		return "", err
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var out []byte
+	buf := make([]byte, 4096)
+	for {
+		n, err := conn.Read(buf)
+		out = append(out, buf[:n]...)
+		if err != nil {
+			if err == io.EOF || errors.Is(err, syscall.ECONNRESET) {
+				err = nil
+			}
+			return string(out), err
+		}
 	}
 }

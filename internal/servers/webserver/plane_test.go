@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,19 +75,23 @@ func TestOverloadShedsAndAnnouncesClose(t *testing.T) {
 		t.Errorf("connection still open after overload close (read err %v)", err)
 	}
 
-	// Fresh connections are answered 503 and closed.
+	// Fresh connections are answered 503 and closed. The 503 is a final
+	// frame, so EOF follows it at once, though the plane holds the shed
+	// connection open for its bounded drain.
 	connB, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer connB.Close()
+	brB := bufio.NewReader(connB)
 	connB.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := io.ReadAll(connB)
-	if err != nil {
-		t.Fatalf("read shed response: %v", err)
+	status, srvClose, _, err = readFullResponse(brB)
+	if err != nil || status != 503 || !srvClose {
+		t.Errorf("shed response: status %d close %v err %v, want 503 with Connection: close", status, srvClose, err)
 	}
-	if !strings.Contains(string(resp), "503") || !strings.Contains(string(resp), "Connection: close") {
-		t.Errorf("shed response = %q, want 503 with Connection: close", truncate(string(resp)))
+	connB.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if _, err := brB.ReadByte(); err != io.EOF {
+		t.Errorf("after the 503: read err %v, want EOF within 100ms", err)
 	}
 
 	// The shed is counted — on the plane and on the Observer plane.
