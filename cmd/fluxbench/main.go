@@ -22,7 +22,7 @@
 // -quick shrinks client counts and durations for a fast smoke run; the
 // default sizes produce the shapes reported in EXPERIMENTS.md.
 //
-// -obs opens the live ops endpoint (internal/telemetry) on addr and
+// -obs opens the live ops endpoint (internal/ops) on addr and
 // attaches one shared telemetry plane to every Flux server the
 // experiments start: /metrics, /debug/pprof/*, and the /debug/flux/*
 // JSON views (fluxtop's feed, and the §5.2 path profile on
@@ -38,6 +38,7 @@ import (
 	"time"
 
 	flux "github.com/flux-lang/flux"
+	"github.com/flux-lang/flux/internal/ops"
 )
 
 type benchConfig struct {
@@ -55,16 +56,16 @@ func main() {
 	flag.Parse()
 
 	cfg := benchConfig{quick: *quick}
-	var ops *flux.Ops
+	var opsSrv *ops.Server
 	if *obs != "" {
 		cfg.tel = flux.NewTelemetry()
 		var err error
-		ops, err = flux.ServeOps(*obs, cfg.tel)
+		opsSrv, err = ops.Serve(*obs, cfg.tel)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fluxbench: ops endpoint: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("ops endpoint: http://%s/metrics  /debug/pprof/  /debug/flux/summary\n", ops.Addr())
+		fmt.Printf("ops endpoint: http://%s/metrics  /debug/pprof/  /debug/flux/summary\n", opsSrv.Addr())
 	}
 
 	experiments := map[string]func(benchConfig) error{
@@ -102,11 +103,11 @@ func main() {
 		run(*exp)
 	}
 
-	if ops != nil && *obsHold > 0 {
-		fmt.Printf("\nholding ops endpoint at http://%s for %v\n", ops.Addr(), *obsHold)
+	if opsSrv != nil && *obsHold > 0 {
+		fmt.Printf("\nholding ops endpoint at http://%s for %v\n", opsSrv.Addr(), *obsHold)
 		time.Sleep(*obsHold)
 	}
-	if ops != nil {
-		_ = ops.Close()
+	if opsSrv != nil {
+		_ = opsSrv.Close()
 	}
 }

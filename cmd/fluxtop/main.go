@@ -1,6 +1,6 @@
 // Command fluxtop is a terminal view of a running Flux server's live
 // telemetry: it polls the ops endpoint's /debug/flux/summary JSON
-// (started with fluxbench -obs, or flux.ServeOps in any program) and
+// (started with fluxbench -obs) and
 // redraws a top-style screen each interval — per-graph flow rates and
 // latency quantiles, the hottest nodes, queue-depth and ctrl/*
 // trajectories as sparklines, shed counters, and connection-plane

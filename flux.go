@@ -57,7 +57,7 @@
 // completions, engine queue-depth samples) attached with WithObserver.
 // The standard observer is the Telemetry plane (WithTelemetry), and the
 // §5.2 path profile is a view of it: Telemetry.PathProfile ranks the
-// Ball-Larus paths it counts, and ServeOps serves them live on
+// Ball-Larus paths it counts, and fluxbench -obs serves them live on
 // /debug/flux/paths.
 //
 // See examples/ for complete servers: the paper's image-compression
@@ -229,19 +229,16 @@ var (
 )
 
 // Live telemetry plane: always-on, allocation-free aggregation behind
-// the Observer interface, served over HTTP by ServeOps.
+// the Observer interface.
 type (
 	// Telemetry is the zero-alloc aggregation plane: per-graph flow
 	// latency histograms and per-path counts (the §5.2 path profile),
 	// per-node latency histograms, windowed queue-depth and ctrl/*
 	// series, shed counters, sampled flow traces. Attach with
-	// WithTelemetry; serve with ServeOps.
+	// WithTelemetry.
 	Telemetry = telemetry.Telemetry
 	// TelemetrySnapshot is a point-in-time copy of the whole plane.
 	TelemetrySnapshot = telemetry.Snapshot
-	// Ops is a running ops HTTP endpoint (/metrics, /debug/pprof/*,
-	// /debug/flux/*).
-	Ops = telemetry.Ops
 )
 
 // NewTelemetry returns a telemetry plane with default 1-in-128 flow
@@ -251,11 +248,6 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 // WithTelemetry attaches the telemetry plane to a server alongside any
 // other configured observer (it composes, never replaces).
 func WithTelemetry(t *Telemetry) Option { return runtime.WithAddedObserver(t.Observer()) }
-
-// ServeOps starts the ops HTTP listener on addr ("" or ":0" pick a
-// port) serving /metrics, /debug/pprof/*, and the /debug/flux/* JSON
-// views of t.
-func ServeOps(addr string, t *Telemetry) (*Ops, error) { return telemetry.Serve(addr, t) }
 
 // RegisterEngine makes a new engine selectable through WithEngine —
 // the extension point behind the three built-in runtimes.

@@ -3,10 +3,8 @@ package loadgen
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	mrand "math/rand"
 	"net"
 	"sync"
@@ -147,14 +145,18 @@ func btDownload(ctx context.Context, cfg BTClientConfig, rng *mrand.Rand,
 	var peerID [20]byte
 	rand.Read(peerID[:])
 	copy(peerID[:8], "-LGEN01-")
-	if err := writeBTHandshake(conn, cfg.Meta.InfoHash, peerID); err != nil {
+	if err := torrent.WriteHandshake(conn, cfg.Meta.InfoHash, peerID); err != nil {
 		return 0, err
 	}
-	if err := readBTHandshake(conn, cfg.Meta.InfoHash); err != nil {
+	infoHash, _, err := torrent.ReadHandshake(conn)
+	if err != nil {
 		return 0, err
+	}
+	if infoHash != cfg.Meta.InfoHash {
+		return 0, errors.New("loadgen: info hash mismatch")
 	}
 	// Expect the seeder's bitfield, send interested.
-	if err := writeBTMessage(conn, 2, nil); err != nil { // interested
+	if err := torrent.WriteMessage(conn, &torrent.Message{ID: torrent.MsgInterested}); err != nil {
 		return 0, err
 	}
 
@@ -176,11 +178,8 @@ func btDownload(ctx context.Context, cfg BTClientConfig, rng *mrand.Rand,
 		nb := store.NumBlocks(piece)
 		for b := 0; b < nb; b++ {
 			begin, length := store.BlockSpec(piece, b)
-			payload := make([]byte, 12)
-			binary.BigEndian.PutUint32(payload[0:4], uint32(piece))
-			binary.BigEndian.PutUint32(payload[4:8], uint32(begin))
-			binary.BigEndian.PutUint32(payload[8:12], uint32(length))
-			if err := writeBTMessage(conn, 6, payload); err != nil { // request
+			req := &torrent.Message{ID: torrent.MsgRequest, Index: uint32(piece), Begin: uint32(begin), Length: uint32(length)}
+			if err := torrent.WriteMessage(conn, req); err != nil {
 				return err
 			}
 			p.blocks++
@@ -201,24 +200,19 @@ func btDownload(ctx context.Context, cfg BTClientConfig, rng *mrand.Rand,
 			}
 			next++
 		}
-		id, payload, err := readBTMessage(conn)
+		m, err := torrent.ReadMessage(conn)
 		if err != nil {
 			return got, err
 		}
-		switch id {
-		case 7: // piece
-			if len(payload) < 8 {
-				return got, errors.New("loadgen: short piece message")
-			}
-			piece := int(binary.BigEndian.Uint32(payload[0:4]))
-			begin := int64(binary.BigEndian.Uint32(payload[4:8]))
-			blk := payload[8:]
-			done, err := store.WriteBlock(piece, begin, blk)
+		switch m.ID {
+		case torrent.MsgPiece:
+			piece := int(m.Index)
+			done, err := store.WriteBlock(piece, int64(m.Begin), m.Payload)
 			if err != nil {
 				return got, err
 			}
 			inflight--
-			tput.Add(0, uint64(len(blk)))
+			tput.Add(0, uint64(len(m.Payload)))
 			if done {
 				got++
 				tput.Add(1, 0)
@@ -232,61 +226,4 @@ func btDownload(ctx context.Context, cfg BTClientConfig, rng *mrand.Rand,
 		}
 	}
 	return got, nil
-}
-
-// --- minimal wire helpers (client side, independent of the server's) --------
-
-func writeBTHandshake(conn net.Conn, infoHash, peerID [20]byte) error {
-	buf := make([]byte, 0, 68)
-	buf = append(buf, 19)
-	buf = append(buf, "BitTorrent protocol"...)
-	buf = append(buf, make([]byte, 8)...)
-	buf = append(buf, infoHash[:]...)
-	buf = append(buf, peerID[:]...)
-	_, err := conn.Write(buf)
-	return err
-}
-
-func readBTHandshake(conn net.Conn, want [20]byte) error {
-	buf := make([]byte, 68)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return err
-	}
-	if buf[0] != 19 || string(buf[1:20]) != "BitTorrent protocol" {
-		return errors.New("loadgen: bad handshake")
-	}
-	var got [20]byte
-	copy(got[:], buf[28:48])
-	if got != want {
-		return errors.New("loadgen: info hash mismatch")
-	}
-	return nil
-}
-
-func writeBTMessage(conn net.Conn, id byte, payload []byte) error {
-	frame := make([]byte, 5+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(1+len(payload)))
-	frame[4] = id
-	copy(frame[5:], payload)
-	_, err := conn.Write(frame)
-	return err
-}
-
-func readBTMessage(conn net.Conn) (id int, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err = io.ReadFull(conn, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	length := binary.BigEndian.Uint32(lenBuf[:])
-	if length == 0 {
-		return -1, nil, nil // keep-alive
-	}
-	if length > torrent.BlockSize+1024 {
-		return 0, nil, fmt.Errorf("loadgen: oversized frame %d", length)
-	}
-	body := make([]byte, length)
-	if _, err = io.ReadFull(conn, body); err != nil {
-		return 0, nil, err
-	}
-	return int(body[0]), body[1:], nil
 }

@@ -1,8 +1,8 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"math/rand"
 	"net"
 	"testing"
@@ -175,7 +175,7 @@ func TestSwarmChokeClearsOutstanding(t *testing.T) {
 	p.claims[1] = c
 	p.claimAt[1] = time.Now()
 
-	if err := p.handleMessage(c, 0, nil); err != nil {
+	if err := p.handleMessage(c, &torrent.Message{ID: torrent.MsgChoke}); err != nil {
 		t.Fatalf("choke: %v", err)
 	}
 	if !c.peerChoking {
@@ -189,11 +189,34 @@ func TestSwarmChokeClearsOutstanding(t *testing.T) {
 	}
 
 	// UNCHOKE flips the state back.
-	if err := p.handleMessage(c, 1, nil); err != nil {
+	if err := p.handleMessage(c, &torrent.Message{ID: torrent.MsgUnchoke}); err != nil {
 		t.Fatalf("unchoke: %v", err)
 	}
 	if c.peerChoking {
 		t.Error("peerChoking still set after unchoke")
+	}
+}
+
+// TestSwarmHaveOutOfRange: a have for a piece index past the torrent is
+// a protocol error, not a panic. 1<<31 is the index that becomes
+// negative when converted to a 32-bit int before the range check.
+func TestSwarmHaveOutOfRange(t *testing.T) {
+	meta, _ := swarmTorrent(t, 256*1024)
+	p, err := NewSwarmPeer(SwarmPeerConfig{Meta: meta, Stats: NewSwarmStats()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c := fakeSwarmConn(t, p, torrent.NewBitfield(meta.NumPieces()))
+	p.conns[c] = true
+
+	for _, idx := range []uint32{uint32(meta.NumPieces()), 1 << 31, 1<<32 - 1} {
+		if err := p.handleMessage(c, &torrent.Message{ID: torrent.MsgHave, Index: idx}); err == nil {
+			t.Errorf("have(%#x) accepted for a %d-piece torrent", idx, meta.NumPieces())
+		}
+	}
+	if c.remote.Count() != 0 {
+		t.Errorf("out-of-range haves set %d bits of the remote's bitfield", c.remote.Count())
 	}
 }
 
@@ -247,37 +270,32 @@ func serveCorrupt(nc net.Conn, meta *torrent.MetaInfo) {
 	defer nc.Close()
 	var peerID [20]byte
 	copy(peerID[:], "-EVIL01-corruptseed!")
-	if err := writeBTHandshake(nc, meta.InfoHash, peerID); err != nil {
+	if err := torrent.WriteHandshake(nc, meta.InfoHash, peerID); err != nil {
 		return
 	}
-	if err := readBTHandshake(nc, meta.InfoHash); err != nil {
+	if _, _, err := torrent.ReadHandshake(nc); err != nil {
 		return
 	}
 	full := torrent.NewBitfield(meta.NumPieces())
 	for i := 0; i < meta.NumPieces(); i++ {
 		full.Set(i)
 	}
-	if err := writeBTMessage(nc, 5, []byte(full)); err != nil {
+	if err := torrent.WriteMessage(nc, &torrent.Message{ID: torrent.MsgBitfield, Payload: full}); err != nil {
 		return
 	}
-	if err := writeBTMessage(nc, 1, nil); err != nil { // unchoke
+	if err := torrent.WriteMessage(nc, &torrent.Message{ID: torrent.MsgUnchoke}); err != nil {
 		return
 	}
 	for {
-		id, payload, err := readBTMessage(nc)
+		m, err := torrent.ReadMessage(nc)
 		if err != nil {
 			return
 		}
-		if id != 6 || len(payload) != 12 {
+		if m.ID != torrent.MsgRequest {
 			continue
 		}
-		length := binary.BigEndian.Uint32(payload[8:12])
-		resp := make([]byte, 8+length)
-		copy(resp[0:8], payload[0:8])
-		for i := range resp[8:] {
-			resp[8+i] = 0xAB // not the content
-		}
-		if err := writeBTMessage(nc, 7, resp); err != nil {
+		garbage := bytes.Repeat([]byte{0xAB}, int(m.Length)) // not the content
+		if err := torrent.WriteMessage(nc, &torrent.Message{ID: torrent.MsgPiece, Index: m.Index, Begin: m.Begin, Payload: garbage}); err != nil {
 			return
 		}
 	}

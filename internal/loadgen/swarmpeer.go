@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	mrand "math/rand"
 	"net"
@@ -15,13 +14,6 @@ import (
 	"github.com/flux-lang/flux/internal/torrent"
 )
 
-// swarmMsgKinds names the per-message-type counters: wire IDs 0..8 in
-// order, then the keep-alive pseudo-kind.
-var swarmMsgKinds = []string{
-	"choke", "unchoke", "interested", "uninterested", "have",
-	"bitfield", "request", "piece", "cancel", "keepalive",
-}
-
 // SwarmStats aggregates counters shared by every peer in a swarm run.
 type SwarmStats struct {
 	Completions atomic.Uint64 // full-file downloads finished
@@ -30,7 +22,7 @@ type SwarmStats struct {
 	BytesUp     atomic.Uint64 // piece payload bytes sent
 	Errors      atomic.Uint64 // connection/protocol/verification failures
 
-	msgs [10]atomic.Uint64
+	msgs torrent.Counts
 
 	// PieceLat records claim-to-verified latency per piece.
 	PieceLat *metrics.LatencyRecorder
@@ -41,23 +33,8 @@ func NewSwarmStats() *SwarmStats {
 	return &SwarmStats{PieceLat: metrics.NewLatencyRecorder()}
 }
 
-func (s *SwarmStats) countMsg(id int) {
-	switch {
-	case id == -1:
-		s.msgs[9].Add(1)
-	case id >= 0 && id <= 8:
-		s.msgs[id].Add(1)
-	}
-}
-
 // Msgs snapshots the per-message-type receive counters.
-func (s *SwarmStats) Msgs() map[string]uint64 {
-	out := make(map[string]uint64, len(swarmMsgKinds))
-	for i, k := range swarmMsgKinds {
-		out[k] = s.msgs[i].Load()
-	}
-	return out
-}
+func (s *SwarmStats) Msgs() map[string]uint64 { return s.msgs.Snapshot() }
 
 // ResetWindow zeroes every counter (warm-up trimming).
 func (s *SwarmStats) ResetWindow() {
@@ -66,9 +43,7 @@ func (s *SwarmStats) ResetWindow() {
 	s.BytesDown.Store(0)
 	s.BytesUp.Store(0)
 	s.Errors.Store(0)
-	for i := range s.msgs {
-		s.msgs[i].Store(0)
-	}
+	s.msgs.Reset()
 	s.PieceLat.Reset()
 }
 
@@ -325,7 +300,7 @@ func (p *SwarmPeer) chokeTick() {
 	var interested []cand
 	for c := range p.conns {
 		if time.Since(c.lastSend) >= p.cfg.KeepAliveInterval {
-			c.queue(outMsg{keepalive: true})
+			c.queue(torrent.Message{ID: torrent.MsgKeepAlive})
 		}
 		if c.peerInterested {
 			interested = append(interested, cand{c, c.bytesFrom - c.rateBase})
@@ -367,10 +342,10 @@ func (p *SwarmPeer) chokeTick() {
 		switch {
 		case keep[c] && c.amChoking:
 			c.amChoking = false
-			c.queue(outMsg{id: 1}) // unchoke
+			c.queue(torrent.Message{ID: torrent.MsgUnchoke})
 		case !keep[c] && !c.amChoking && c.peerInterested:
 			c.amChoking = true
-			c.queue(outMsg{id: 0}) // choke
+			c.queue(torrent.Message{ID: torrent.MsgChoke})
 		}
 	}
 }
@@ -382,24 +357,13 @@ type blockKey struct {
 	begin int
 }
 
-// outMsg is one queued outbound message. Piece payloads are not
-// materialized here: block requests from the remote wait in reqQueue
-// and are read from the store at send time, so a cancel can still
-// remove them.
-type outMsg struct {
-	id        int
-	payload   []byte
-	keepalive bool
-}
-
-type blockReq struct {
-	index, begin, length uint32
-}
-
 // swarmConn is one peer-to-peer connection and its protocol state, all
 // guarded by the owning peer's mutex. One writer goroutine per
 // connection drains ctl (control messages) then reqQueue (block serves),
-// so a reader never blocks on its own peer's sends.
+// so a reader never blocks on its own peer's sends. Piece payloads are
+// not materialized in a queue: the remote's requests wait in reqQueue
+// and their blocks are read from the store at send time, so a cancel
+// can still remove them.
 type swarmConn struct {
 	p        *SwarmPeer
 	nc       net.Conn
@@ -413,8 +377,8 @@ type swarmConn struct {
 	peerInterested bool
 
 	outstanding map[blockKey]time.Time // our requests awaiting blocks
-	ctl         []outMsg
-	reqQueue    []blockReq // remote's requests awaiting service
+	ctl         []torrent.Message
+	reqQueue    []*torrent.Message // remote's requests awaiting service
 	bytesFrom   uint64
 	rateBase    uint64
 	lastSend    time.Time
@@ -422,7 +386,7 @@ type swarmConn struct {
 }
 
 // queue appends a control message and kicks the writer (p.mu held).
-func (c *swarmConn) queue(m outMsg) {
+func (c *swarmConn) queue(m torrent.Message) {
 	c.ctl = append(c.ctl, m)
 	c.kick()
 }
@@ -447,12 +411,12 @@ func (c *swarmConn) shut() {
 // runConn performs the handshake and runs the connection to its end.
 func (p *SwarmPeer) runConn(nc net.Conn, dialAddr string) {
 	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeBTHandshake(nc, p.cfg.Meta.InfoHash, p.peerID); err != nil {
+	if err := torrent.WriteHandshake(nc, p.cfg.Meta.InfoHash, p.peerID); err != nil {
 		p.stats.Errors.Add(1)
 		nc.Close()
 		return
 	}
-	if err := readBTHandshake(nc, p.cfg.Meta.InfoHash); err != nil {
+	if infoHash, _, err := torrent.ReadHandshake(nc); err != nil || infoHash != p.cfg.Meta.InfoHash {
 		p.stats.Errors.Add(1)
 		nc.Close()
 		return
@@ -477,7 +441,7 @@ func (p *SwarmPeer) runConn(nc net.Conn, dialAddr string) {
 		return
 	}
 	p.conns[c] = true
-	c.queue(outMsg{id: 5, payload: []byte(p.store.Bitfield())})
+	c.queue(torrent.Message{ID: torrent.MsgBitfield, Payload: p.store.Bitfield()})
 	p.mu.Unlock()
 
 	p.wg.Add(1)
@@ -521,8 +485,7 @@ func (p *SwarmPeer) releaseClaims(c *swarmConn) {
 }
 
 // writerLoop drains control messages, then serves one queued block
-// request per round — reading the block from the store at send time so
-// cancels remove work that has not been sent yet.
+// request per round.
 func (c *swarmConn) writerLoop() {
 	p := c.p
 	for {
@@ -537,69 +500,61 @@ func (c *swarmConn) writerLoop() {
 				p.mu.Unlock()
 				return
 			}
-			var (
-				m      outMsg
-				hasMsg bool
-				blk    []byte
-				req    blockReq
-				hasBlk bool
-			)
-			if len(c.ctl) > 0 {
-				m, hasMsg = c.ctl[0], true
-				c.ctl = c.ctl[1:]
-			} else if len(c.reqQueue) > 0 {
-				req = c.reqQueue[0]
-				c.reqQueue = c.reqQueue[1:]
-				b, err := p.store.ReadBlock(int(req.index), int64(req.begin), int64(req.length))
-				if err == nil {
-					blk, hasBlk = b, true
-				}
-				// A block we no longer hold (post-reset store) is
-				// silently skipped; the remote's request times out into
-				// its own sweep.
-			}
-			if hasMsg || hasBlk {
+			m, ok := c.next()
+			if ok {
 				c.lastSend = time.Now()
 			}
 			p.mu.Unlock()
-			switch {
-			case hasMsg && m.keepalive:
-				if _, err := c.nc.Write([]byte{0, 0, 0, 0}); err != nil {
-					return
-				}
-			case hasMsg:
-				if err := writeBTMessage(c.nc, byte(m.id), m.payload); err != nil {
-					return
-				}
-			case hasBlk:
-				payload := make([]byte, 8+len(blk))
-				binary.BigEndian.PutUint32(payload[0:4], req.index)
-				binary.BigEndian.PutUint32(payload[4:8], req.begin)
-				copy(payload[8:], blk)
-				if err := writeBTMessage(c.nc, 7, payload); err != nil {
-					return
-				}
-				p.stats.BytesUp.Add(uint64(len(blk)))
-			default:
-				// Both queues empty.
-			}
-			if !hasMsg && !hasBlk {
+			if !ok {
 				break
+			}
+			if err := torrent.WriteMessage(c.nc, &m); err != nil {
+				return
+			}
+			if m.ID == torrent.MsgPiece {
+				p.stats.BytesUp.Add(uint64(len(m.Payload)))
 			}
 		}
 	}
 }
 
-// readLoop consumes wire messages until the connection dies.
+// next pops the next message to send: a control message, else a piece
+// answering the oldest queued request, its block read from the store
+// now. A request for a block we no longer hold (post-reset store) is
+// silently skipped; the remote's request times out into its own sweep
+// (p.mu held).
+func (c *swarmConn) next() (torrent.Message, bool) {
+	if len(c.ctl) > 0 {
+		m := c.ctl[0]
+		c.ctl = c.ctl[1:]
+		return m, true
+	}
+	for len(c.reqQueue) > 0 {
+		req := c.reqQueue[0]
+		c.reqQueue = c.reqQueue[1:]
+		blk, err := c.p.store.ReadBlock(int(req.Index), int64(req.Begin), int64(req.Length))
+		if err == nil {
+			return torrent.Message{ID: torrent.MsgPiece, Index: req.Index, Begin: req.Begin, Payload: blk}, true
+		}
+	}
+	return torrent.Message{}, false
+}
+
+// readLoop consumes wire messages until the connection dies. A malformed
+// frame, or one the state machine rejects, counts as an error.
 func (c *swarmConn) readLoop() {
 	p := c.p
 	for {
-		id, payload, err := readBTMessage(c.nc)
+		body, err := torrent.ReadFrame(c.nc)
 		if err != nil {
 			return
 		}
-		p.stats.countMsg(id)
-		if err := p.handleMessage(c, id, payload); err != nil {
+		m, err := torrent.ParseMessageBody(body)
+		if err == nil {
+			p.stats.msgs.Add(m)
+			err = p.handleMessage(c, m)
+		}
+		if err != nil {
 			p.stats.Errors.Add(1)
 			return
 		}
@@ -608,42 +563,40 @@ func (c *swarmConn) readLoop() {
 
 // handleMessage advances the protocol state machine for one received
 // message.
-func (p *SwarmPeer) handleMessage(c *swarmConn, id int, payload []byte) error {
+func (p *SwarmPeer) handleMessage(c *swarmConn, m *torrent.Message) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c.closed {
 		return nil
 	}
 	n := p.cfg.Meta.NumPieces()
-	switch id {
-	case -1: // keep-alive
-	case 0: // choke: outstanding requests are void, claims release
+	switch m.ID {
+	case torrent.MsgChoke: // outstanding requests are void, claims release
 		c.peerChoking = true
 		c.outstanding = make(map[blockKey]time.Time)
 		p.releaseClaims(c)
-	case 1: // unchoke
+	case torrent.MsgUnchoke:
 		c.peerChoking = false
 		p.fillPipeline(c)
-	case 2:
+	case torrent.MsgInterested:
 		c.peerInterested = true
-	case 3:
+	case torrent.MsgNotInterested:
 		c.peerInterested = false
-	case 4: // have
-		if len(payload) != 4 {
-			return errors.New("loadgen: malformed have")
-		}
-		idx := int(binary.BigEndian.Uint32(payload))
-		if idx >= n {
+	case torrent.MsgHave:
+		// Compare before converting: on a 32-bit platform int(1<<31)
+		// is negative and would pass a range check on the int.
+		if m.Index >= uint32(n) {
 			return errors.New("loadgen: have out of range")
 		}
+		idx := int(m.Index)
 		if !c.remote.Has(idx) {
 			c.remote.Set(idx)
 			p.avail[idx]++
 		}
 		p.updateInterest(c)
 		p.fillPipeline(c)
-	case 5: // bitfield
-		bf := torrent.Bitfield(payload)
+	case torrent.MsgBitfield:
+		bf := torrent.Bitfield(m.Payload)
 		if len(bf) != len(torrent.NewBitfield(n)) {
 			return errors.New("loadgen: malformed bitfield")
 		}
@@ -660,51 +613,31 @@ func (p *SwarmPeer) handleMessage(c *swarmConn, id int, payload []byte) error {
 		}
 		p.updateInterest(c)
 		p.fillPipeline(c)
-	case 6: // request
-		if len(payload) != 12 {
-			return errors.New("loadgen: malformed request")
-		}
+	case torrent.MsgRequest:
 		if c.amChoking || len(c.reqQueue) >= 512 {
 			return nil // choked peers get nothing; absurd queues drop
 		}
-		req := blockReq{
-			index:  binary.BigEndian.Uint32(payload[0:4]),
-			begin:  binary.BigEndian.Uint32(payload[4:8]),
-			length: binary.BigEndian.Uint32(payload[8:12]),
-		}
-		if int(req.index) >= n || req.length > torrent.BlockSize {
+		if m.Index >= uint32(n) || m.Length > torrent.BlockSize {
 			return errors.New("loadgen: bad request bounds")
 		}
-		c.reqQueue = append(c.reqQueue, req)
+		c.reqQueue = append(c.reqQueue, m)
 		c.kick()
-	case 7: // piece
-		if len(payload) < 8 {
-			return errors.New("loadgen: short piece message")
-		}
-		return p.onBlock(c, payload)
-	case 8: // cancel
-		if len(payload) != 12 {
-			return errors.New("loadgen: malformed cancel")
-		}
-		idx := binary.BigEndian.Uint32(payload[0:4])
-		begin := binary.BigEndian.Uint32(payload[4:8])
+	case torrent.MsgPiece:
+		return p.onBlock(c, m)
+	case torrent.MsgCancel:
 		for i, r := range c.reqQueue {
-			if r.index == idx && r.begin == begin {
+			if r.Index == m.Index && r.Begin == m.Begin {
 				c.reqQueue = append(c.reqQueue[:i], c.reqQueue[i+1:]...)
 				break
 			}
 		}
-	default:
-		return errors.New("loadgen: unknown message id")
 	}
 	return nil
 }
 
 // onBlock stores one received block (p.mu held).
-func (p *SwarmPeer) onBlock(c *swarmConn, payload []byte) error {
-	piece := int(binary.BigEndian.Uint32(payload[0:4]))
-	begin := int64(binary.BigEndian.Uint32(payload[4:8]))
-	blk := payload[8:]
+func (p *SwarmPeer) onBlock(c *swarmConn, m *torrent.Message) error {
+	piece, begin, blk := int(m.Index), int64(m.Begin), m.Payload
 	delete(c.outstanding, blockKey{piece, int(begin)})
 	c.bytesFrom += uint64(len(blk))
 	p.stats.BytesDown.Add(uint64(len(blk)))
@@ -734,21 +667,11 @@ func (p *SwarmPeer) onBlock(c *swarmConn, payload []byte) error {
 			for key := range oc.outstanding {
 				if key.piece == piece {
 					delete(oc.outstanding, key)
-					cancel := make([]byte, 12)
-					binary.BigEndian.PutUint32(cancel[0:4], uint32(piece))
-					binary.BigEndian.PutUint32(cancel[4:8], uint32(key.begin))
-					bl := p.store.NumBlocks(piece)
-					for b := 0; b < bl; b++ {
-						if bg, ln := p.store.BlockSpec(piece, b); bg == int64(key.begin) {
-							binary.BigEndian.PutUint32(cancel[8:12], uint32(ln))
-						}
-					}
-					oc.queue(outMsg{id: 8, payload: cancel})
+					_, length := p.store.BlockSpec(piece, key.begin/torrent.BlockSize)
+					oc.queue(torrent.Message{ID: torrent.MsgCancel, Index: uint32(piece), Begin: uint32(key.begin), Length: uint32(length)})
 				}
 			}
-			have := make([]byte, 4)
-			binary.BigEndian.PutUint32(have, uint32(piece))
-			oc.queue(outMsg{id: 4, payload: have})
+			oc.queue(torrent.Message{ID: torrent.MsgHave, Index: uint32(piece)})
 		}
 		if p.store.Complete() {
 			p.stats.Completions.Add(1)
@@ -789,9 +712,9 @@ func (p *SwarmPeer) updateInterest(c *swarmConn) {
 	if want != c.amInterested {
 		c.amInterested = want
 		if want {
-			c.queue(outMsg{id: 2}) // interested
+			c.queue(torrent.Message{ID: torrent.MsgInterested})
 		} else {
-			c.queue(outMsg{id: 3}) // not interested
+			c.queue(torrent.Message{ID: torrent.MsgNotInterested})
 		}
 	}
 }
@@ -821,11 +744,7 @@ func (p *SwarmPeer) fillPipeline(c *swarmConn) {
 				continue
 			}
 			c.outstanding[key] = time.Now()
-			req := make([]byte, 12)
-			binary.BigEndian.PutUint32(req[0:4], uint32(piece))
-			binary.BigEndian.PutUint32(req[4:8], uint32(begin))
-			binary.BigEndian.PutUint32(req[8:12], uint32(length))
-			c.queue(outMsg{id: 6, payload: req})
+			c.queue(torrent.Message{ID: torrent.MsgRequest, Index: uint32(piece), Begin: uint32(begin), Length: uint32(length)})
 		}
 	}
 }

@@ -1,15 +1,51 @@
-package telemetry
+package ops
 
 import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/flux-lang/flux/internal/core"
+	"github.com/flux-lang/flux/internal/lang/parser"
 	"github.com/flux-lang/flux/internal/runtime"
+	"github.com/flux-lang/flux/internal/telemetry"
 )
+
+// flowGraph compiles Gen -> Double -> Sink and returns its graph.
+func flowGraph(t *testing.T) *core.FlatGraph {
+	t.Helper()
+	astProg, err := parser.Parse("ops_test.flux", `
+Gen () => (int v);
+Double (int v) => (int v);
+Sink (int v) => ();
+source Gen => Flow;
+Flow = Double -> Sink;
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	p, err := core.Build(astProg)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return p.Graphs["Gen"]
+}
+
+// execNode finds the graph's exec vertex for a node.
+func execNode(t *testing.T, g *core.FlatGraph, name string) *core.FlatNode {
+	t.Helper()
+	for _, v := range g.Nodes {
+		if v.Kind == core.FlatExec && v.Node.Name == name {
+			return v
+		}
+	}
+	t.Fatalf("no exec vertex %q", name)
+	return nil
+}
 
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
@@ -29,8 +65,8 @@ func get(t *testing.T, url string) (int, string) {
 // and exercises every route: the Prometheus exposition, the JSON debug
 // views, and the pprof index.
 func TestServeEndpoints(t *testing.T) {
-	tel := NewSampled(1)
-	g := flowGraph(t, compileProgram(t))
+	tel := telemetry.NewSampled(1)
+	g := flowGraph(t)
 
 	tel.FlowDone(g, 0, runtime.FlowCompleted, 3*time.Millisecond)
 	tel.FlowDone(g, 0, runtime.FlowErrored, time.Millisecond)
@@ -39,19 +75,19 @@ func TestServeEndpoints(t *testing.T) {
 	tel.QueueDepth(runtime.ThreadPool, runtime.QueueSteals, 12)
 	tel.QueueDepth(runtime.EventDriven, runtime.CtrlWatermark, 64)
 	tel.ConnShed("webserver", "overload")
-	tel.RegisterConns("webserver", func() ConnStats {
-		return ConnStats{Accepted: 10, Admitted: 8, Shed: 2, Live: 1}
+	tel.RegisterConns("webserver", func() telemetry.ConnStats {
+		return telemetry.ConnStats{Accepted: 10, Admitted: 8, Shed: 2, Live: 1}
 	})
-	tel.RegisterDynPages("webserver", func() DynPageStats {
-		return DynPageStats{Compiled: 40, Interpreted: 2, FragHits: 1, FragMisses: 1}
+	tel.RegisterDynPages("webserver", func() telemetry.DynPageStats {
+		return telemetry.DynPageStats{Compiled: 40, Interpreted: 2, FragHits: 1, FragMisses: 1}
 	})
 
-	ops, err := Serve("127.0.0.1:0", tel)
+	srv, err := Serve("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ops.Close()
-	base := "http://" + ops.Addr()
+	defer srv.Close()
+	base := "http://" + srv.Addr()
 
 	code, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
@@ -84,13 +120,22 @@ func TestServeEndpoints(t *testing.T) {
 	if strings.Contains(body, `flux_queue_depth{engine="threadpool",queue="steals"}`) {
 		t.Error("/metrics exposes steals as a queue depth")
 	}
+	// The endpoint serves WriteMetrics' bytes unchanged, uptime aside.
+	var direct strings.Builder
+	if err := tel.WriteMetrics(&direct); err != nil {
+		t.Fatal(err)
+	}
+	uptime := regexp.MustCompile(`(?m)^flux_uptime_seconds .*$`)
+	if uptime.ReplaceAllString(body, "") != uptime.ReplaceAllString(direct.String(), "") {
+		t.Error("/metrics differs from Telemetry.WriteMetrics")
+	}
 
 	// Summary JSON round-trips through the public snapshot type.
 	code, body = get(t, base+"/debug/flux/summary")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/flux/summary status %d", code)
 	}
-	var snap Snapshot
+	var snap telemetry.Snapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("summary decode: %v", err)
 	}
@@ -107,7 +152,7 @@ func TestServeEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/flux/paths status %d", code)
 	}
-	var rep Report
+	var rep telemetry.Report
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatalf("paths decode: %v", err)
 	}
@@ -128,7 +173,7 @@ func TestServeEndpoints(t *testing.T) {
 
 	// ctrl view carries only ctrl/* streams.
 	_, body = get(t, base+"/debug/flux/ctrl")
-	var ctrl []StreamSnapshot
+	var ctrl []telemetry.StreamSnapshot
 	if err := json.Unmarshal([]byte(body), &ctrl); err != nil {
 		t.Fatalf("ctrl decode: %v", err)
 	}
@@ -141,18 +186,18 @@ func TestServeEndpoints(t *testing.T) {
 // serves the plane's path slots, empty before any flow and populated
 // after, in the endpoint's existing JSON shape (field names included).
 func TestServeWithoutProfiler(t *testing.T) {
-	tel := New()
-	ops, err := Serve("127.0.0.1:0", tel)
+	tel := telemetry.New()
+	srv, err := Serve("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ops.Close()
-	url := "http://" + ops.Addr() + "/debug/flux/paths"
+	defer srv.Close()
+	url := "http://" + srv.Addr() + "/debug/flux/paths"
 	code, body := get(t, url)
 	if code != http.StatusOK {
 		t.Fatalf("paths status %d", code)
 	}
-	var rep Report
+	var rep telemetry.Report
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -160,7 +205,7 @@ func TestServeWithoutProfiler(t *testing.T) {
 		t.Errorf("expected empty report, got %+v", rep)
 	}
 
-	g := flowGraph(t, compileProgram(t))
+	g := flowGraph(t)
 	tel.FlowDone(g, 0, runtime.FlowCompleted, time.Millisecond)
 	tel.FlowDone(g, 0, runtime.FlowDropped, time.Millisecond)
 	tel.NodeDone(g, execNode(t, g, "Double"), time.Microsecond)

@@ -9,10 +9,7 @@ package ctorrent
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -99,47 +96,37 @@ func (s *Server) Run(ctx context.Context) error {
 
 func (s *Server) servePeer(conn net.Conn) {
 	// Handshake.
-	if err := s.writeHandshake(conn); err != nil {
+	if err := torrent.WriteHandshake(conn, s.cfg.Meta.InfoHash, s.peerID); err != nil {
 		return
 	}
-	if err := s.readHandshake(conn); err != nil {
+	infoHash, _, err := torrent.ReadHandshake(conn)
+	if err != nil || infoHash != s.cfg.Meta.InfoHash {
 		return
 	}
 	// Bitfield.
-	bf := s.store.Bitfield()
-	if err := writeMessage(conn, 5, bf); err != nil {
+	if err := torrent.WriteMessage(conn, &torrent.Message{ID: torrent.MsgBitfield, Payload: s.store.Bitfield()}); err != nil {
 		return
 	}
-	// Serve requests forever.
+	// Serve requests until the peer leaves or sends a malformed frame.
 	for {
-		id, payload, err := readMessage(conn)
+		m, err := torrent.ReadMessage(conn)
 		if err != nil {
 			return
 		}
-		switch id {
-		case 2: // interested -> unchoke (benchmark modification)
-			if err := writeMessage(conn, 1, nil); err != nil {
+		switch m.ID {
+		case torrent.MsgInterested: // -> unchoke (benchmark modification)
+			if err := torrent.WriteMessage(conn, &torrent.Message{ID: torrent.MsgUnchoke}); err != nil {
 				return
 			}
-		case 6: // request
-			if len(payload) != 12 {
+		case torrent.MsgRequest:
+			if m.Length > torrent.BlockSize {
 				return
 			}
-			index := binary.BigEndian.Uint32(payload[0:4])
-			begin := binary.BigEndian.Uint32(payload[4:8])
-			length := binary.BigEndian.Uint32(payload[8:12])
-			if length > torrent.BlockSize {
-				return
-			}
-			blk, err := s.store.ReadBlock(int(index), int64(begin), int64(length))
+			blk, err := s.store.ReadBlock(int(m.Index), int64(m.Begin), int64(m.Length))
 			if err != nil {
 				return
 			}
-			resp := make([]byte, 8+len(blk))
-			binary.BigEndian.PutUint32(resp[0:4], index)
-			binary.BigEndian.PutUint32(resp[4:8], begin)
-			copy(resp[8:], blk)
-			if err := writeMessage(conn, 7, resp); err != nil {
+			if err := torrent.WriteMessage(conn, &torrent.Message{ID: torrent.MsgPiece, Index: m.Index, Begin: m.Begin, Payload: blk}); err != nil {
 				return
 			}
 			s.bytesOut.Add(uint64(len(blk)))
@@ -149,59 +136,4 @@ func (s *Server) servePeer(conn net.Conn) {
 			// by a pure seeder.
 		}
 	}
-}
-
-func (s *Server) writeHandshake(conn net.Conn) error {
-	buf := make([]byte, 0, 68)
-	buf = append(buf, 19)
-	buf = append(buf, "BitTorrent protocol"...)
-	buf = append(buf, make([]byte, 8)...)
-	buf = append(buf, s.cfg.Meta.InfoHash[:]...)
-	buf = append(buf, s.peerID[:]...)
-	_, err := conn.Write(buf)
-	return err
-}
-
-func (s *Server) readHandshake(conn net.Conn) error {
-	buf := make([]byte, 68)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return err
-	}
-	if buf[0] != 19 || string(buf[1:20]) != "BitTorrent protocol" {
-		return errors.New("ctorrent: bad handshake")
-	}
-	var got [20]byte
-	copy(got[:], buf[28:48])
-	if got != s.cfg.Meta.InfoHash {
-		return errors.New("ctorrent: info hash mismatch")
-	}
-	return nil
-}
-
-func writeMessage(conn net.Conn, id byte, payload []byte) error {
-	frame := make([]byte, 5+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(1+len(payload)))
-	frame[4] = id
-	copy(frame[5:], payload)
-	_, err := conn.Write(frame)
-	return err
-}
-
-func readMessage(conn net.Conn) (id int, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err = io.ReadFull(conn, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	length := binary.BigEndian.Uint32(lenBuf[:])
-	if length == 0 {
-		return -1, nil, nil
-	}
-	if length > torrent.BlockSize+1024 {
-		return 0, nil, fmt.Errorf("ctorrent: oversized frame %d", length)
-	}
-	body := make([]byte, length)
-	if _, err = io.ReadFull(conn, body); err != nil {
-		return 0, nil, err
-	}
-	return int(body[0]), body[1:], nil
 }

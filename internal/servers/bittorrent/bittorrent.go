@@ -1,8 +1,12 @@
-// The Flux BitTorrent peer. The program graph follows Figure 7 of the
-// paper: a Listen source sets up incoming peer connections; a Poll
-// source (the select loop) feeds the message flow whose HandleMessage
-// node dispatches on the wire message type; choke, keep-alive, and
-// tracker timers drive their own flows. Peers are Flux sessions: the
+// Package bittorrent implements the paper's peer-to-peer application
+// (§4.3): a BitTorrent peer whose protocol logic is a Flux program. The
+// wire codec, metainfo and piece storage live in internal/torrent.
+//
+// The program graph follows Figure 7 of the paper: a Listen source sets
+// up incoming peer connections; a Poll source (the select loop) feeds
+// the message flow whose HandleMessage node dispatches on the wire
+// message type; choke, keep-alive, and tracker timers drive their own
+// flows. Peers are Flux sessions: the
 // per-peer protocol state is guarded by a session-scoped constraint
 // (§2.5.1), while the peer table and the piece store use global
 // constraints.
@@ -18,7 +22,7 @@
 //
 // Readiness substrate: the paper's runtime intercepts blocking socket
 // reads and multiplexes them with select; here every registered peer has
-// a pump goroutine reading raw frames into a bounded inbox that the Poll
+// a pump goroutine reading frames into a bounded inbox that the Poll
 // source drains with a timeout. An empty poll errors at CheckSockets,
 // reproducing the paper's most frequently executed path ("... ->
 // CheckSockets -> ERROR", §5.2).
@@ -208,22 +212,6 @@ type Config struct {
 	MaxConns int
 }
 
-// msgKinds enumerates the per-message-type counters, in wire-ID order
-// with the two pseudo-kinds last.
-var msgKinds = []string{
-	"choke", "unchoke", "interested", "uninterested", "have",
-	"bitfield", "request", "piece", "cancel", "keepalive", "closed",
-}
-
-func msgKindIndex(kind string) int {
-	for i, k := range msgKinds {
-		if k == kind {
-			return i
-		}
-	}
-	return -1
-}
-
 // Server is a runnable Flux BitTorrent peer.
 type Server struct {
 	cfg    Config
@@ -255,8 +243,10 @@ type Server struct {
 	// the choke flow publishes the msg/* streams through it.
 	obs runtime.Observer
 
-	// msgCounts counts received messages per wire kind (msgKinds order).
-	msgCounts [11]atomic.Uint64
+	// msgs counts received messages per wire kind, and closedMsgs the
+	// dead-peer reports.
+	msgs       torrent.Counts
+	closedMsgs atomic.Uint64
 
 	// Choke-flow state (single flow at a time): the optimistic-unchoke
 	// slot, its rotation counter, and the rotation RNG.
@@ -450,10 +440,8 @@ func (s *Server) BytesServed() uint64 { return s.totalOut.Load() }
 
 // MsgCounts snapshots the per-message-type receive counters.
 func (s *Server) MsgCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(msgKinds))
-	for i, k := range msgKinds {
-		out[k] = s.msgCounts[i].Load()
-	}
+	out := s.msgs.Snapshot()
+	out["closed"] = s.closedMsgs.Load()
 	return out
 }
 
@@ -604,12 +592,12 @@ func (s *Server) handshake(fl *runtime.Flow, in runtime.Record) (runtime.Record,
 	p := in[0].(*Peer)
 	_ = p.nc.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
 	p.writeMu.Lock()
-	err := WriteHandshake(p.nc, s.cfg.Meta.InfoHash, s.peerID)
+	err := torrent.WriteHandshake(p.nc, s.cfg.Meta.InfoHash, s.peerID)
 	p.writeMu.Unlock()
 	if err != nil {
 		return nil, s.shedIfTimeout(err, "handshake-timeout")
 	}
-	infoHash, peerID, err := ReadHandshake(p.br)
+	infoHash, peerID, err := torrent.ReadHandshake(p.br)
 	if err != nil {
 		return nil, s.shedIfTimeout(err, "handshake-timeout")
 	}
@@ -636,7 +624,7 @@ func (s *Server) shedIfTimeout(err error, reason string) error {
 func (s *Server) sendBitfield(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	p := in[0].(*Peer)
 	bf := s.store.Bitfield()
-	if err := p.send(&Message{ID: MsgBitfield, Payload: bf}); err != nil {
+	if err := p.send(&torrent.Message{ID: torrent.MsgBitfield, Payload: bf}); err != nil {
 		return nil, err
 	}
 	p.ready.Store(true)
@@ -662,7 +650,7 @@ func (s *Server) dropConn(fl *runtime.Flow, in runtime.Record) (runtime.Record, 
 	return nil, nil
 }
 
-// pump reads raw frames into the inbox until the connection dies — the
+// pump reads frame bodies into the inbox until the connection dies — the
 // per-socket half of the readiness substrate. It is the pooled conn's
 // owner from SendBitfield on: retirement happens exactly here, on
 // read-loop exit. With an IdleTimeout, a peer that stops sending even
@@ -673,27 +661,13 @@ func (s *Server) pump(p *Peer) {
 		if idle > 0 {
 			_ = p.nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(p.br, lenBuf[:]); err != nil {
+		body, err := torrent.ReadFrame(p.br)
+		if err != nil {
 			s.pumpExit(p, err)
 			return
 		}
-		length := binary.BigEndian.Uint32(lenBuf[:])
-		if length == 0 {
-			s.inbox <- &inboxItem{peer: p, raw: &rawFrame{}}
-			continue
-		}
-		if length > maxFrame {
-			s.pumpExit(p, fmt.Errorf("frame too large: %d", length))
-			return
-		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(p.br, body); err != nil {
-			s.pumpExit(p, err)
-			return
-		}
-		p.bytesIn.Add(uint64(length))
-		s.inbox <- &inboxItem{peer: p, raw: &rawFrame{body: body}}
+		p.bytesIn.Add(uint64(len(body)))
+		s.inbox <- &inboxItem{peer: p, body: body}
 	}
 }
 

@@ -242,69 +242,6 @@ func TestTrackerAnnounceAndDiscovery(t *testing.T) {
 	<-trackerDone
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	msgs := []*Message{
-		{ID: -1},
-		{ID: MsgChoke},
-		{ID: MsgUnchoke},
-		{ID: MsgInterested},
-		{ID: MsgNotInterested},
-		{ID: MsgHave, Index: 42},
-		{ID: MsgBitfield, Payload: []byte{0xA5, 0x0F}},
-		{ID: MsgRequest, Index: 1, Begin: 16384, Length: 16384},
-		{ID: MsgCancel, Index: 2, Begin: 0, Length: 1024},
-		{ID: MsgPiece, Index: 3, Begin: 32768, Payload: []byte("block data")},
-	}
-	var buf bytes.Buffer
-	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatalf("write %s: %v", m.Kind(), err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("read %s: %v", want.Kind(), err)
-		}
-		if got.ID != want.ID || got.Index != want.Index || got.Begin != want.Begin ||
-			got.Length != want.Length || !bytes.Equal(got.Payload, want.Payload) {
-			t.Errorf("round trip %s: got %+v want %+v", want.Kind(), got, want)
-		}
-	}
-}
-
-func TestHandshakeRoundTrip(t *testing.T) {
-	var infoHash, peerID [20]byte
-	copy(infoHash[:], "aaaaaaaaaaaaaaaaaaaa")
-	copy(peerID[:], "bbbbbbbbbbbbbbbbbbbb")
-	var buf bytes.Buffer
-	if err := WriteHandshake(&buf, infoHash, peerID); err != nil {
-		t.Fatal(err)
-	}
-	gotHash, gotID, err := ReadHandshake(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHash != infoHash || gotID != peerID {
-		t.Error("handshake round trip mismatch")
-	}
-}
-
-func TestMalformedWireMessages(t *testing.T) {
-	bad := [][]byte{
-		{0, 0, 0, 1, 4},                // have without index
-		{0, 0, 0, 2, 6, 0},             // short request
-		{0, 0, 0, 3, 7, 0, 0},          // short piece
-		{0, 0, 0, 1, 99},               // unknown id
-		{0xFF, 0xFF, 0xFF, 0xFF, 0, 0}, // oversized frame
-	}
-	for _, in := range bad {
-		if _, err := ReadMessage(bytes.NewReader(in)); err == nil {
-			t.Errorf("ReadMessage(%v) should fail", in)
-		}
-	}
-}
-
 // TestCorruptPieceRejectedAndRetried injects a corrupt block into a Flux
 // leecher from a fake seeder: the piece must fail verification (taking
 // the error path), become requestable again, and the download must still
@@ -338,19 +275,19 @@ func TestCorruptPieceRejectedAndRetried(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(15 * time.Second))
 
 	// Handshake both ways, then announce a full bitfield.
-	if _, _, err := ReadHandshake(conn); err != nil {
+	if _, _, err := torrent.ReadHandshake(conn); err != nil {
 		t.Fatal(err)
 	}
 	var fakeID [20]byte
 	copy(fakeID[:], "-FAKESEEDER-00000000")
-	if err := WriteHandshake(conn, meta.InfoHash, fakeID); err != nil {
+	if err := torrent.WriteHandshake(conn, meta.InfoHash, fakeID); err != nil {
 		t.Fatal(err)
 	}
 	full := torrent.NewBitfield(meta.NumPieces())
 	for i := 0; i < meta.NumPieces(); i++ {
 		full.Set(i)
 	}
-	if err := WriteMessage(conn, &Message{ID: MsgBitfield, Payload: full}); err != nil {
+	if err := torrent.WriteMessage(conn, &torrent.Message{ID: torrent.MsgBitfield, Payload: full}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -362,17 +299,17 @@ func TestCorruptPieceRejectedAndRetried(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for !leecher.Store().Complete() && time.Now().Before(deadline) {
 		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		m, err := ReadMessage(conn)
+		m, err := torrent.ReadMessage(conn)
 		if err != nil {
 			if ne, ok := err.(interface{ Timeout() bool }); ok && ne.Timeout() {
 				if !leecher.Store().Complete() {
-					_ = WriteMessage(conn, &Message{ID: MsgUnchoke})
+					_ = torrent.WriteMessage(conn, &torrent.Message{ID: torrent.MsgUnchoke})
 				}
 				continue
 			}
 			t.Fatalf("fake seeder read: %v", err)
 		}
-		if m.ID != MsgRequest {
+		if m.ID != torrent.MsgRequest {
 			continue
 		}
 		off := int64(m.Index)*meta.PieceLength + int64(m.Begin)
@@ -381,7 +318,7 @@ func TestCorruptPieceRejectedAndRetried(t *testing.T) {
 			blk[0] ^= 0xFF
 			corrupted = true
 		}
-		if err := WriteMessage(conn, &Message{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Payload: blk}); err != nil {
+		if err := torrent.WriteMessage(conn, &torrent.Message{ID: torrent.MsgPiece, Index: m.Index, Begin: m.Begin, Payload: blk}); err != nil {
 			t.Fatalf("fake seeder write: %v", err)
 		}
 	}

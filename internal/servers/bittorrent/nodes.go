@@ -49,29 +49,23 @@ func (s *Server) checkSockets(fl *runtime.Flow, in runtime.Record) (runtime.Reco
 		// "closed" dispatch case.
 		return runtime.Record{item.peer, true, &wireMsg{kind: "closed"}}, nil
 	}
-	return runtime.Record{item.peer, false, &wireMsg{raw: item.raw, kind: "raw"}}, nil
+	return runtime.Record{item.peer, false, &wireMsg{body: item.body, kind: "raw"}}, nil
 }
 
-// readMessage parses the raw frame into a typed message and counts it on
-// the per-message-type stream; malformed frames error to DropPeer.
+// readMessage parses the frame body into a typed message and counts it
+// on the per-message-type stream; malformed frames error to DropPeer.
 func (s *Server) readMessage(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	m := in[2].(*wireMsg)
-	if m.kind != "closed" {
-		if m.raw == nil || m.raw.body == nil {
-			m.msg = &Message{ID: -1}
-			m.kind = "keepalive"
-		} else {
-			msg, err := ParseMessageBody(m.raw.body)
-			if err != nil {
-				return nil, err
-			}
-			m.msg = msg
-			m.kind = msg.Kind()
-		}
+	if m.kind == "closed" {
+		s.closedMsgs.Add(1)
+		return in, nil
 	}
-	if i := msgKindIndex(m.kind); i >= 0 {
-		s.msgCounts[i].Add(1)
+	msg, err := torrent.ParseMessageBody(m.body)
+	if err != nil {
+		return nil, err
 	}
+	m.msg, m.kind = msg, msg.Kind()
+	s.msgs.Add(msg)
 	return in, nil
 }
 
@@ -150,7 +144,7 @@ func (s *Server) onBitfield(fl *runtime.Flow, in runtime.Record) (runtime.Record
 	// A leecher signals interest when the peer has pieces we miss, and —
 	// unless choked — begins requesting immediately.
 	if !s.store.Complete() {
-		_ = p.send(&Message{ID: MsgInterested})
+		_ = p.send(&torrent.Message{ID: torrent.MsgInterested})
 		if !p.theyChokeUs.Load() {
 			s.requestMoreBlocks(p)
 		}
@@ -161,10 +155,12 @@ func (s *Server) onBitfield(fl *runtime.Flow, in runtime.Record) (runtime.Record
 func (s *Server) onHave(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	p := in[0].(*Peer)
 	m := in[2].(*wireMsg)
-	idx := int(m.msg.Index)
-	if idx >= s.cfg.Meta.NumPieces() {
-		return nil, fmt.Errorf("bittorrent: have for piece %d of %d", idx, s.cfg.Meta.NumPieces())
+	// Compare before converting: on a 32-bit platform int(1<<31) is
+	// negative and would pass a range check on the int.
+	if m.msg.Index >= uint32(s.cfg.Meta.NumPieces()) {
+		return nil, fmt.Errorf("bittorrent: have for piece %d of %d", m.msg.Index, s.cfg.Meta.NumPieces())
 	}
+	idx := int(m.msg.Index)
 	if !p.bitfield.Has(idx) {
 		p.bitfield.Set(idx)
 		s.avail[idx]++
@@ -182,7 +178,7 @@ func (s *Server) onInterested(fl *runtime.Flow, in runtime.Record) (runtime.Reco
 	}
 	// Benchmark modification (§4.3): every peer is unchoked.
 	p.choked.Store(false)
-	_ = p.send(&Message{ID: MsgUnchoke})
+	_ = p.send(&torrent.Message{ID: torrent.MsgUnchoke})
 	return in, nil
 }
 
@@ -223,7 +219,7 @@ func (s *Server) onRequest(fl *runtime.Flow, in runtime.Record) (runtime.Record,
 	if err != nil {
 		return nil, err
 	}
-	if err := p.send(&Message{ID: MsgPiece, Index: req.Index, Begin: req.Begin, Payload: blk}); err != nil {
+	if err := p.send(&torrent.Message{ID: torrent.MsgPiece, Index: req.Index, Begin: req.Begin, Payload: blk}); err != nil {
 		return nil, err
 	}
 	s.totalOut.Add(uint64(len(blk)))
@@ -280,7 +276,7 @@ func (s *Server) requestMoreBlocks(p *Peer) {
 		n := s.store.NumBlocks(piece)
 		for b := 0; b < n; b++ {
 			begin, length := s.store.BlockSpec(piece, b)
-			if err := p.send(&Message{ID: MsgRequest, Index: uint32(piece), Begin: uint32(begin), Length: uint32(length)}); err != nil {
+			if err := p.send(&torrent.Message{ID: torrent.MsgRequest, Index: uint32(piece), Begin: uint32(begin), Length: uint32(length)}); err != nil {
 				return
 			}
 			p.pendingBlocks.Add(1)
@@ -314,7 +310,7 @@ func (s *Server) completePiece(fl *runtime.Flow, in runtime.Record) (runtime.Rec
 	m := in[2].(*wireMsg)
 	for p := range s.peers {
 		if p.ready.Load() {
-			_ = p.send(&Message{ID: MsgHave, Index: m.pieceIndex})
+			_ = p.send(&torrent.Message{ID: torrent.MsgHave, Index: m.pieceIndex})
 		}
 	}
 	// Keep the leech pipeline moving.
@@ -378,8 +374,8 @@ func (s *Server) publishMsgStreams() {
 	if obs == nil {
 		return
 	}
-	for i, k := range msgKinds {
-		obs.QueueDepth(s.cfg.Engine, runtime.MsgStreamPrefix+k, int(s.msgCounts[i].Load()))
+	for k, n := range s.MsgCounts() {
+		obs.QueueDepth(s.cfg.Engine, runtime.MsgStreamPrefix+k, int(n))
 	}
 	_, p95 := s.PieceLatency()
 	obs.QueueDepth(s.cfg.Engine, runtime.MsgStreamPrefix+"piece-p95us", int(p95/time.Microsecond))
@@ -463,11 +459,11 @@ func (s *Server) sendChokeUnchoke(fl *runtime.Flow, in runtime.Record) (runtime.
 	plan := in[0].(*chokePlan)
 	for _, p := range plan.unchoke {
 		p.choked.Store(false)
-		_ = p.send(&Message{ID: MsgUnchoke})
+		_ = p.send(&torrent.Message{ID: torrent.MsgUnchoke})
 	}
 	for _, p := range plan.choke {
 		p.choked.Store(true)
-		_ = p.send(&Message{ID: MsgChoke})
+		_ = p.send(&torrent.Message{ID: torrent.MsgChoke})
 	}
 	return nil, nil
 }
@@ -477,7 +473,7 @@ func (s *Server) sendChokeUnchoke(fl *runtime.Flow, in runtime.Record) (runtime.
 func (s *Server) sendKeepAlives(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	for p := range s.peers {
 		if p.ready.Load() {
-			_ = p.send(&Message{ID: -1})
+			_ = p.send(&torrent.Message{ID: torrent.MsgKeepAlive})
 		}
 	}
 	return nil, nil

@@ -76,7 +76,7 @@ type Peer struct {
 // send writes one message, serialized per peer. It targets the raw
 // socket, never the pooled Conn, so late sends racing retirement fail
 // with a write error instead of touching recycled state.
-func (p *Peer) send(m *Message) error {
+func (p *Peer) send(m *torrent.Message) error {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
 	if p.closed.Load() {
@@ -85,7 +85,7 @@ func (p *Peer) send(m *Message) error {
 	if p.writeTimeout > 0 {
 		_ = p.nc.SetWriteDeadline(time.Now().Add(p.writeTimeout))
 	}
-	if err := WriteMessage(p.nc, m); err != nil {
+	if err := torrent.WriteMessage(p.nc, m); err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			if p.onWriteTimeout != nil {
@@ -97,7 +97,7 @@ func (p *Peer) send(m *Message) error {
 		}
 		return err
 	}
-	if m.ID == MsgPiece {
+	if m.ID == torrent.MsgPiece {
 		p.bytesOut.Add(uint64(len(m.Payload)))
 	}
 	return nil
@@ -129,18 +129,12 @@ func (p *Peer) retire() {
 	p.conn.Close()
 }
 
-// rawFrame is one length-delimited frame read by a peer's pump, before
-// the ReadMessage node parses it.
-type rawFrame struct {
-	body []byte // nil for keep-alive
-}
-
 // inboxItem is what the readiness substrate delivers to the Poll source:
-// a frame from a peer, or the peer's terminal error.
+// a frame body from a peer, or the peer's terminal error.
 type inboxItem struct {
 	peer *Peer
-	raw  *rawFrame
-	err  error // non-nil: the peer's connection is done
+	body []byte // empty for a keep-alive
+	err  error  // non-nil: the peer's connection is done
 }
 
 // pollToken is the Poll source's output: either one ready item or an
@@ -152,12 +146,12 @@ type pollToken struct {
 }
 
 // wireMsg is the message record flowing through HandleMessage. The Poll
-// source delivers it holding the raw frame; the ReadMessage node parses
+// source delivers it holding the frame body; the ReadMessage node parses
 // it and fills msg and kind; the dispatch predicates test kind and the
 // completion flag.
 type wireMsg struct {
-	raw *rawFrame
-	msg *Message
+	body []byte
+	msg  *torrent.Message
 	// kind mirrors msg.Kind(); "closed" marks a dead peer needing
 	// unregistration, "raw" an unparsed frame.
 	kind string

@@ -7,7 +7,17 @@ import (
 
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/telemetry"
+	"github.com/flux-lang/flux/internal/torrent"
 )
+
+// readMessageDeadline reads one message with a read deadline.
+func readMessageDeadline(conn net.Conn, d time.Duration) (*torrent.Message, error) {
+	if err := conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+		return nil, err
+	}
+	defer conn.SetReadDeadline(time.Time{})
+	return torrent.ReadMessage(conn)
+}
 
 // waitShed polls until the telemetry plane has counted a bittorrent
 // shed under reason.
@@ -44,7 +54,8 @@ func TestHandshakeTimeoutShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	// 19 + "BitTorrent protocol" + nothing else: a half-written handshake.
+	// The length byte and part of the protocol string: a half-written
+	// handshake.
 	if _, err := nc.Write([]byte("\x13BitTorrent proto")); err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +84,10 @@ func TestIdlePeerShed(t *testing.T) {
 	defer nc.Close()
 	var peerID [20]byte
 	copy(peerID[:], "-TEST01-idlepeer0000")
-	if err := WriteHandshake(nc, meta.InfoHash, peerID); err != nil {
+	if err := torrent.WriteHandshake(nc, meta.InfoHash, peerID); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadHandshake(nc); err != nil {
+	if _, _, err := torrent.ReadHandshake(nc); err != nil {
 		t.Fatal(err)
 	}
 	// Fully registered (the server sends its bitfield), then silence.

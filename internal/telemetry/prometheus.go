@@ -1,104 +1,19 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
+	"io"
 	"sort"
 	"strings"
 	"time"
 )
 
-// Ops is the running ops endpoint: one HTTP listener carrying the
-// telemetry plane's live views.
-//
-//	/metrics                Prometheus text exposition
-//	/debug/pprof/*          net/http/pprof (profile, heap, goroutine, ...)
-//	/debug/flux/summary     the full Snapshot (fluxtop's feed)
-//	/debug/flux/paths       the §5.2 path profile: ranked hot paths
-//	/debug/flux/nodes       per-node latency histograms
-//	/debug/flux/ctrl        SLO-controller trajectory windows
-//	/debug/flux/sheds       shed counters and trajectories
-//	/debug/flux/conns       connection-plane admission counters
-//	/debug/flux/traces      sampled flow traces
-type Ops struct {
-	t   *Telemetry
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve opens the ops listener on addr (":0" picks a port; see Addr)
-// and serves until Close. The handlers only read the telemetry plane's
-// lock-free aggregate, so scraping a loaded server is safe.
-func Serve(addr string, t *Telemetry) (*Ops, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	o := &Ops{t: t, ln: ln}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", o.handleMetrics)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/flux/summary", o.handleJSON(func() any { return t.Snapshot() }))
-	mux.HandleFunc("/debug/flux/paths", o.handleJSON(func() any { return t.PathProfiles(ByCount, 0) }))
-	mux.HandleFunc("/debug/flux/nodes", o.handleJSON(func() any {
-		s := t.snapshot(false, false)
-		return s.Graphs
-	}))
-	mux.HandleFunc("/debug/flux/ctrl", o.handleJSON(func() any { return t.CtrlStreams() }))
-	mux.HandleFunc("/debug/flux/sheds", o.handleJSON(func() any {
-		s := t.snapshot(true, false)
-		return s.Sheds
-	}))
-	mux.HandleFunc("/debug/flux/conns", o.handleJSON(func() any {
-		s := t.snapshot(false, false)
-		return s.Conns
-	}))
-	mux.HandleFunc("/debug/flux/dynpages", o.handleJSON(func() any {
-		s := t.snapshot(false, false)
-		return s.DynPages
-	}))
-	mux.HandleFunc("/debug/flux/traces", o.handleJSON(func() any { return t.Traces() }))
-
-	o.srv = &http.Server{Handler: mux}
-	go func() { _ = o.srv.Serve(ln) }()
-	return o, nil
-}
-
-// Addr returns the bound listen address.
-func (o *Ops) Addr() string { return o.ln.Addr().String() }
-
-// Close stops the listener and in-flight handlers.
-func (o *Ops) Close() error { return o.srv.Close() }
-
-func (o *Ops) handleJSON(fn func() any) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(fn())
-	}
-}
-
-// --- Prometheus text exposition ---------------------------------------------
-
-// handleMetrics renders the aggregate in Prometheus text exposition
+// WriteMetrics renders the aggregate in Prometheus text exposition
 // format (version 0.0.4): per-graph flow histograms and outcome
 // counters, per-node latency summaries, queue-depth gauges, ctrl/*
 // trajectory gauges, shed counters, and connection-plane counters.
-func (o *Ops) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s := o.t.snapshot(false, false)
+func (t *Telemetry) WriteMetrics(w io.Writer) error {
+	s := t.snapshot(false, false)
 	var b strings.Builder
 
 	fmt.Fprintf(&b, "# HELP flux_uptime_seconds Time since the telemetry plane was created.\n")
@@ -197,7 +112,8 @@ func (o *Ops) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "flux_plane_live_connections{plane=%q} %d\n", c.Name, c.Stats.Live)
 	}
 
-	_, _ = w.Write([]byte(b.String()))
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // writeHistogram renders one HistSnapshot as a Prometheus histogram:

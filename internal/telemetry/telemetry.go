@@ -18,9 +18,9 @@
 // The record path is allocation-free and lock-free (histogram and
 // counter updates are atomics; only the 1-in-N trace write takes a
 // mutex), so a Telemetry can ride every experiment by default without
-// disturbing the PR 1 zero-allocation hot path it observes. Serve
-// exposes the aggregate over HTTP: Prometheus text on /metrics,
-// net/http/pprof under /debug/pprof/, and JSON snapshots under
+// disturbing the PR 1 zero-allocation hot path it observes.
+// WriteMetrics renders the aggregate as Prometheus text; package ops
+// serves it over HTTP with net/http/pprof and JSON snapshots under
 // /debug/flux/ — the endpoints cmd/fluxtop renders live.
 package telemetry
 
