@@ -73,9 +73,9 @@ func startWeb(b *testing.B, name string, files *loadgen.FileSet) (string, func()
 	case "flux-threadpool":
 		srv, err = webserver.New(webserver.Config{Files: files, Engine: flux.ThreadPool, PoolSize: 32})
 	case "flux-event":
-		srv, err = webserver.New(webserver.Config{Files: files, Engine: flux.EventDriven, SourceTimeout: 2 * time.Millisecond})
+		srv, err = webserver.New(webserver.Config{Files: files, Engine: flux.EventDriven})
 	case "flux-steal":
-		srv, err = webserver.New(webserver.Config{Files: files, Engine: flux.WorkStealing, SourceTimeout: 2 * time.Millisecond})
+		srv, err = webserver.New(webserver.Config{Files: files, Engine: flux.WorkStealing})
 	case "knot-like":
 		srv, err = knotweb.New(knotweb.Config{Files: files})
 	case "haboob-like":
@@ -172,7 +172,7 @@ func BenchmarkFigure4BitTorrent(b *testing.B) {
 			return bittorrent.New(bittorrent.Config{Meta: meta, Content: data, Engine: flux.ThreadPool, PoolSize: 32})
 		},
 		"flux-event": func() (btServer, error) {
-			return bittorrent.New(bittorrent.Config{Meta: meta, Content: data, Engine: flux.EventDriven, SourceTimeout: 2 * time.Millisecond})
+			return bittorrent.New(bittorrent.Config{Meta: meta, Content: data, Engine: flux.EventDriven})
 		},
 		"ctorrent-like": func() (btServer, error) {
 			return ctorrent.New(ctorrent.Config{Meta: meta, Content: data})
@@ -475,8 +475,7 @@ Flow = Work -> Done;
 				}).
 				BindNode("Work", func(fl *flux.Flow, in flux.Record) (flux.Record, error) { return in, nil }).
 				BindNode("Done", func(fl *flux.Flow, in flux.Record) (flux.Record, error) { return nil, nil })
-			srv, err := flux.New(prog, bind, flux.WithEngine(kind), flux.WithPoolSize(8),
-				flux.WithSourceTimeout(time.Millisecond))
+			srv, err := flux.New(prog, bind, flux.WithEngine(kind), flux.WithPoolSize(8))
 			if err != nil {
 				b.Fatal(err)
 			}

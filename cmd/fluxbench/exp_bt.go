@@ -121,10 +121,9 @@ func btTargets(cfg benchConfig) []btTarget {
 		return func(meta *torrent.MetaInfo, data []byte) (string, func(), error) {
 			srv, err := bittorrent.New(bittorrent.Config{
 				Meta: meta, Content: data,
-				Engine:        kind,
-				PoolSize:      64,
-				SourceTimeout: 5 * time.Millisecond,
-				Telemetry:     cfg.tel,
+				Engine:    kind,
+				PoolSize:  64,
+				Telemetry: cfg.tel,
 			})
 			if err != nil {
 				return "", nil, err
@@ -200,7 +199,6 @@ func expSwarm(cfg benchConfig) error {
 			Meta: meta, Content: data,
 			Engine:           flux.WorkStealing,
 			PoolSize:         64,
-			SourceTimeout:    5 * time.Millisecond,
 			MaxUnchoked:      32,
 			ChokeInterval:    250 * time.Millisecond,
 			HandshakeTimeout: 5 * time.Second,

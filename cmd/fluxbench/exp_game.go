@@ -43,10 +43,6 @@ func expGame(cfg benchConfig) error {
 				Engine:    eng.kind,
 				PoolSize:  16,
 				Telemetry: cfg.tel,
-				// 1ms keeps the event dispatcher's uninterruptible UDP
-				// polls an order of magnitude below the heartbeat, so
-				// turn timing is not quantized by source blocks.
-				SourceTimeout: time.Millisecond,
 			})
 			if err != nil {
 				return err

@@ -103,7 +103,6 @@ func expOverload(cfg benchConfig) error {
 		c.Files = files
 		c.Engine = flux.EventDriven
 		c.PoolSize = 64
-		c.SourceTimeout = 20 * time.Millisecond
 		// The shared -obs plane rides every target that brings no plane
 		// of its own; the adaptive runs below each keep a per-run plane,
 		// because their trajectory readout needs one plane per run.

@@ -113,8 +113,8 @@ func expFigure3(cfg benchConfig) error {
 		func(res loadgen.WebResult) string { return fmtLat(res.Latency.Mean) })
 	fmt.Println("\npaper (Figure 3): knot ~ flux-threadpool ~ flux-event > haboob; flux-thread worst.")
 	fmt.Println("the paper's low-client event-server latency hiccup (admission waiting out a source")
-	fmt.Println("poll timeout) no longer reproduces: the connection plane injects connections")
-	fmt.Println("directly, so admission never rides the poll clock")
+	fmt.Println("poll timeout) does not reproduce: no engine has a poll clock, since sources block")
+	fmt.Println("on goroutines of their own and the connection plane injects connections directly")
 	fmt.Println()
 	return writePathComparison(cfg)
 }
@@ -162,10 +162,9 @@ func writePathComparison(cfg benchConfig) error {
 				}
 			}
 			srv, err := webserver.New(webserver.Config{
-				Files:         files,
-				Engine:        flux.ThreadPool,
-				PoolSize:      64,
-				SourceTimeout: 20 * time.Millisecond,
+				Files:    files,
+				Engine:   flux.ThreadPool,
+				PoolSize: 64,
 			})
 			if err != nil {
 				if cleanup != nil {
@@ -310,11 +309,10 @@ func webTargets(cfg benchConfig, files *loadgen.FileSet) []webTarget {
 	fluxStart := func(kind flux.EngineKind) func(*loadgen.FileSet) (string, func(), error) {
 		return func(files *loadgen.FileSet) (string, func(), error) {
 			c := webserver.Config{
-				Files:         files,
-				Engine:        kind,
-				PoolSize:      64,
-				SourceTimeout: 20 * time.Millisecond,
-				Telemetry:     cfg.tel,
+				Files:     files,
+				Engine:    kind,
+				PoolSize:  64,
+				Telemetry: cfg.tel,
 			}
 			srv, err := webserver.New(c)
 			if err != nil {

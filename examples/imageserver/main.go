@@ -33,11 +33,10 @@ func main() {
 
 	tel := flux.NewTelemetry()
 	srv, err := imageserver.New(imageserver.Config{
-		Addr:          *addr,
-		Engine:        engineKind(*engine),
-		SourceTimeout: 5 * time.Millisecond,
-		CompressWork:  2 * time.Millisecond, // calibrated compression cost
-		Telemetry:     tel,
+		Addr:         *addr,
+		Engine:       engineKind(*engine),
+		CompressWork: 2 * time.Millisecond, // calibrated compression cost
+		Telemetry:    tel,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -31,10 +31,9 @@ func main() {
 
 	files := loadgen.NewFileSet(*dirs)
 	srv, err := webserver.New(webserver.Config{
-		Addr:          *addr,
-		Files:         files,
-		Engine:        engineKind(*engine),
-		SourceTimeout: 5 * time.Millisecond,
+		Addr:   *addr,
+		Files:  files,
+		Engine: engineKind(*engine),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -180,9 +180,6 @@ const (
 var (
 	// ErrStop tells the engine a source is exhausted.
 	ErrStop = runtime.ErrStop
-	// ErrNoData tells the engine a polling source found nothing before
-	// its deadline.
-	ErrNoData = runtime.ErrNoData
 	// ErrServerClosed is returned by Inject once the server stops
 	// admitting flows.
 	ErrServerClosed = runtime.ErrServerClosed
@@ -212,9 +209,6 @@ var (
 	// WithAsyncWorkers sizes the event-driven engine's blocking-call
 	// offload pool (default 16).
 	WithAsyncWorkers = runtime.WithAsyncWorkers
-	// WithSourceTimeout sets the event-driven engine's source polling
-	// deadline (default 20ms).
-	WithSourceTimeout = runtime.WithSourceTimeout
 	// WithObserver attaches an observer to the unified plane.
 	WithObserver = runtime.WithObserver
 	// WithKeepAlive keeps the server admitting Inject flows after its
@@ -262,8 +256,8 @@ func ParseEngineKind(name string) (EngineKind, bool) { return runtime.ParseEngin
 // MultiObserver combines observers into one, skipping nils.
 func MultiObserver(obs ...Observer) Observer { return runtime.MultiObserver(obs...) }
 
-// IntervalSource builds a source firing every interval — deadline-aware
-// so timer flows never wedge an event-driven dispatcher.
+// IntervalSource builds a source firing every interval; it waits on a
+// timer or the flow's context. Bind each one to a single source.
 func IntervalSource(d time.Duration) SourceFunc { return runtime.IntervalSource(d) }
 
 // Path profiling (§5.2): Telemetry.PathProfile ranks a graph's paths.

@@ -189,7 +189,6 @@ Flow = Sink;
 		})
 	srv, err := flux.New(prog, b,
 		flux.WithEngine(flux.EventDriven),
-		flux.WithSourceTimeout(time.Millisecond),
 		flux.WithKeepAlive(),
 		flux.WithObserver(obs),
 	)

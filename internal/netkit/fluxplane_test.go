@@ -46,8 +46,7 @@ F = Serve;
 				}).
 				MarkBlocking("Serve")
 			rec := newShedRecorder()
-			rt, err := runtime.New(prog, b, runtime.WithEngine(kind), runtime.WithKeepAlive(),
-				runtime.WithSourceTimeout(time.Millisecond))
+			rt, err := runtime.New(prog, b, runtime.WithEngine(kind), runtime.WithKeepAlive())
 			if err != nil {
 				t.Fatal(err)
 			}

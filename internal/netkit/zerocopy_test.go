@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -151,9 +152,26 @@ func TestWriteTimeoutCountsOneShedPerFailure(t *testing.T) {
 
 	// stalled admits a connection whose peer never reads, then fills its
 	// send path through the raw socket, which the plane does not count,
-	// until a write makes no progress at all.
+	// until a write makes no progress at all. Both buffers on that path
+	// are fixed first — the peer's receive buffer before it connects,
+	// the server's send buffer on accept — which turns the kernel's
+	// autotuning off for them: a buffer still growing could take the
+	// next frame after all, and a path found full must stay full.
+	fixBuf := func(rc syscall.RawConn, opt int) error {
+		var serr error
+		if err := rc.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, opt, 4096)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}
+	dialer := net.Dialer{
+		Timeout: 2 * time.Second,
+		Control: func(_, _ string, rc syscall.RawConn) error { return fixBuf(rc, syscall.SO_RCVBUF) },
+	}
 	stalled := func() *Conn {
-		peer, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
+		peer, err := dialer.Dial("tcp", p.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,6 +181,9 @@ func TestWriteTimeoutCountsOneShedPerFailure(t *testing.T) {
 		case c = <-admitted:
 		case <-time.After(5 * time.Second):
 			t.Fatal("connection never admitted")
+		}
+		if err := fixBuf(c.rc, syscall.SO_SNDBUF); err != nil {
+			t.Fatalf("SO_SNDBUF: %v", err)
 		}
 		nc := c.NetConn()
 		for chunk := make([]byte, 1<<20); ; {

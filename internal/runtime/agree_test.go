@@ -194,7 +194,6 @@ func runAgree(t *testing.T, p *core.Program, eng agreeEngine, c agreeCase, chain
 		MarkBlocking("Read", "Store")
 	cfg := eng.cfg
 	cfg.PoolSize, cfg.AsyncWorkers = 2, 2
-	cfg.SourceTimeout = time.Millisecond
 	cfg.Observer = obs
 	cfg.KeepAlive = chained
 	s, err := NewServer(p, b, cfg)

@@ -13,9 +13,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/flux-lang/flux/internal/core"
 	"github.com/flux-lang/flux/internal/lang/ast"
@@ -77,7 +77,7 @@ func benchFlows(b *testing.B, kind EngineKind, src string) {
 		BindNode("B", pass).
 		BindNode("C", pass).
 		BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-	s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8, SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8})
 	if err != nil {
 		b.Fatalf("NewServer: %v", err)
 	}
@@ -136,8 +136,7 @@ func BenchmarkFlowOverheadPooledRecord(b *testing.B) {
 				BindNode("B", pass).
 				BindNode("C", pass).
 				BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-			s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
-				Dispatchers: 1, SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8, Dispatchers: 1})
 			if err != nil {
 				b.Fatalf("NewServer: %v", err)
 			}
@@ -154,55 +153,77 @@ func BenchmarkFlowOverheadPooledRecord(b *testing.B) {
 	}
 }
 
-// multiSourceSrc builds a program with n independent sources, each
-// feeding its own straight-line flow over shared nodes — the shape that
-// separates per-dispatcher run queues from one shared queue.
-func multiSourceSrc(n int) string {
-	src := "A (int v) => (int v);\nB (int v) => (int v);\nSink (int v) => ();\n"
-	for i := 0; i < n; i++ {
-		src += fmt.Sprintf("Gen%d () => (int v);\nsource Gen%d => F%d;\nF%d = A -> B -> Sink;\n", i, i, i, i)
-	}
-	return src
-}
-
 // BenchmarkEngineScaling measures aggregate flow throughput of the
-// event-driven engine at 1/2/4/8 dispatchers with 8 concurrent sources
-// (EventDriven is the d1 point, WorkStealing's default the GOMAXPROCS
-// one). ns/op is per flow across all sources: the sharded deques hold or
-// improve it as dispatchers are added — the scaling curve recorded in
-// EXPERIMENTS.md.
+// event-driven engine at 1/2/4/8 dispatchers (EventDriven is the d1
+// point, WorkStealing's default the GOMAXPROCS one), with eight
+// goroutines admitting flows through SourceHandle.Inject. Injected flows
+// run on the dispatchers; a source's records would run their first
+// segment on the source's own goroutine and measure that instead. The
+// in-flight count is capped, as in BenchmarkInject, so the number is
+// dispatch cost, not injection-queue growth. ns/op is per flow across
+// all injectors — the scaling curve recorded in EXPERIMENTS.md.
 func BenchmarkEngineScaling(b *testing.B) {
-	const nSources = 8
+	const injectors = 8
 	for _, disp := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%s-d%d", WorkStealing, disp), func(b *testing.B) {
-			p := compileBench(b, multiSourceSrc(nSources))
+			p := compileBench(b, `
+Gen () => (int v);
+A (int v) => (int v);
+B (int v) => (int v);
+Sink (int v) => ();
+source Gen => F;
+F = A -> B -> Sink;
+`)
 			rec := Record{1}
-			var left atomic.Int64
-			left.Store(int64(b.N))
 			pass := func(fl *Flow, in Record) (Record, error) { return in, nil }
 			bnd := NewBindings().
+				BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
 				BindNode("A", pass).
 				BindNode("B", pass).
 				BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-			for i := 0; i < nSources; i++ {
-				bnd.BindSource(fmt.Sprintf("Gen%d", i), func(fl *Flow) (Record, error) {
-					if left.Add(-1) < 0 {
-						return nil, ErrStop
-					}
-					return rec, nil
-				})
-			}
-			s, err := NewServer(p, bnd, Config{Kind: WorkStealing, Dispatchers: disp,
-				SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, bnd, Config{Kind: WorkStealing, Dispatchers: disp, KeepAlive: true})
 			if err != nil {
 				b.Fatalf("NewServer: %v", err)
 			}
+			h, err := s.Source("Gen")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Start(context.Background()); err != nil {
+				b.Fatalf("Start: %v", err)
+			}
+			completed := &s.stats.Completed
+			var issued atomic.Int64
+			var wg sync.WaitGroup
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := s.Run(context.Background()); err != nil {
-				b.Fatalf("Run: %v", err)
+			for i := 0; i < injectors; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						n := issued.Add(1)
+						if n > int64(b.N) {
+							return
+						}
+						for n-int64(completed.Load()) > injectors*stealBatch {
+							runtime.Gosched()
+						}
+						if err := h.Inject(rec); err != nil {
+							b.Errorf("Inject: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for completed.Load() < uint64(b.N) {
+				runtime.Gosched()
 			}
 			b.StopTimer()
+			if err := s.Shutdown(context.Background()); err != nil {
+				b.Fatalf("Shutdown: %v", err)
+			}
 			if got := s.Stats().Snapshot().Completed; got != uint64(b.N) {
 				b.Fatalf("completed = %d, want %d", got, b.N)
 			}
@@ -344,8 +365,7 @@ func startKeepAlive(b *testing.B, kind EngineKind, sink NodeFunc, blocking ...st
 		BindNode("C", pass).
 		BindNode("Sink", sink).
 		MarkBlocking(blocking...)
-	s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
-		SourceTimeout: time.Millisecond, KeepAlive: true})
+	s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8, KeepAlive: true})
 	if err != nil {
 		b.Fatalf("NewServer: %v", err)
 	}
@@ -420,8 +440,7 @@ F = Serve;
 					return nil, nil
 				}).
 				MarkBlocking("Serve")
-			s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
-				SourceTimeout: time.Millisecond, KeepAlive: true})
+			s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8, KeepAlive: true})
 			if err != nil {
 				b.Fatalf("NewServer: %v", err)
 			}

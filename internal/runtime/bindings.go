@@ -110,7 +110,7 @@ func (b *Bindings) Validate(p *core.Program) error {
 		switch {
 		case sourceNames[name]:
 			return &BindingError{What: "blocking", Name: name,
-				Msg: "is a source; sources poll with a deadline instead of being offloaded"}
+				Msg: "is a source; sources block on goroutines of their own instead of being offloaded"}
 		case !nodeNames[name]:
 			return &BindingError{What: "blocking", Name: name,
 				Msg: "does not name a concrete node (misspelled MarkBlocking?)"}

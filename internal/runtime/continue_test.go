@@ -29,7 +29,6 @@ func chainServer(t *testing.T, kind EngineKind, cfg Config, sink func(h *SourceH
 		BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return sink(h)(fl, in) }).
 		MarkBlocking("Double")
 	cfg.Kind = kind
-	cfg.SourceTimeout = time.Millisecond
 	cfg.KeepAlive = true
 	s, err := NewServer(p, b, cfg)
 	if err != nil {
@@ -212,7 +211,7 @@ func TestContinueKeepsFIFOUnderBacklog(t *testing.T) {
 				}).
 				MarkBlocking("Double")
 			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 1, Dispatchers: 1,
-				AsyncWorkers: 1, SourceTimeout: time.Millisecond, KeepAlive: true})
+				AsyncWorkers: 1, KeepAlive: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,8 +302,7 @@ atomic HoldB:{c};
 					return nil, nil
 				}).
 				MarkBlocking("Pre", "HoldA", "HoldB")
-			s, err := NewServer(p, b, Config{Kind: kind, Dispatchers: 2, AsyncWorkers: 2,
-				SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, Dispatchers: 2, AsyncWorkers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

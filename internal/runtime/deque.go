@@ -31,8 +31,8 @@ type deque[T any] struct {
 	head int // index of the oldest element (steal end)
 	size int
 	// asize mirrors size with sequentially-consistent atomics, so the
-	// hot probes — a dispatcher's poll pre-arm, the pre-park
-	// verification scan, observer sampling — read the length without
+	// hot probes — the pre-park verification scan, observer
+	// sampling — read the length without
 	// taking the mutex. Writers update it while holding mu.
 	asize atomic.Int32
 }
@@ -44,22 +44,6 @@ func (d *deque[T]) push(v T) {
 		d.growLocked()
 	}
 	d.buf[(d.head+d.size)&(len(d.buf)-1)] = v
-	d.size++
-	d.asize.Store(int32(d.size))
-	d.mu.Unlock()
-}
-
-// pushTop prepends v at the top (oldest, steal end). Source re-queues
-// use it so a dispatcher owning several sources polls them round-robin:
-// a bottom re-queue would be popped straight back, starving the rest of
-// the deque behind one busy source.
-func (d *deque[T]) pushTop(v T) {
-	d.mu.Lock()
-	if d.size == len(d.buf) {
-		d.growLocked()
-	}
-	d.head = (d.head - 1 + len(d.buf)) & (len(d.buf) - 1)
-	d.buf[d.head] = v
 	d.size++
 	d.asize.Store(int32(d.size))
 	d.mu.Unlock()

@@ -11,12 +11,13 @@ import (
 // Engine is the execution strategy behind a Server: one of the paper's
 // three runtime systems (§3.2), or any registered alternative. The
 // Server owns program compilation, binding resolution, and the dense
-// vertex tables; the engine owns scheduling — how source polls, node
-// activations, and lock waits map onto goroutines.
+// vertex tables; the engine owns scheduling — how source records, node
+// activations, and lock waits map onto goroutines. Every engine runs its
+// sources through the same loop (Server.startSources).
 //
 // The contract:
 //
-//   - Start launches the engine's source loops and workers and returns
+//   - Start launches the engine's sources and workers and returns
 //     without blocking. The context governs admission: when it is
 //     cancelled, sources stop originating flows, but flows already in
 //     flight run to their terminals (graceful drain).
@@ -34,6 +35,77 @@ type Engine interface {
 	Start(ctx context.Context) error
 	Submit(fl *Flow, rec Record) error
 	Drain(ctx context.Context) error
+}
+
+// sourceAdmitter is the one engine-specific step of the shared source
+// loop: what the engine does with a record its source produced. admit
+// runs on the source's own goroutine; the flow built for rec takes over
+// poll's pooled record (Flow.adoptRecord or takeRecBox).
+type sourceAdmitter interface {
+	admit(poll *Flow, st *sourceState, rec Record)
+}
+
+// startSources runs every source on a goroutine of its own, on every
+// engine, plus — with KeepAlive — a stand-in source that holds admission
+// open until ctx is done. retired runs once all of them have returned.
+func (s *Server) startSources(ctx context.Context, a sourceAdmitter, retired func()) {
+	var wg sync.WaitGroup
+	for _, st := range s.srcs {
+		wg.Add(1)
+		go func(st *sourceState) {
+			defer wg.Done()
+			s.sourceLoop(ctx, st, a)
+		}(st)
+	}
+	if s.cfg.KeepAlive {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-ctx.Done()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		retired()
+	}()
+}
+
+// sourceLoop calls one source until it stops and hands each record to
+// the engine. The source blocks until it has a record or fl.Ctx is done
+// (SourceFunc's contract), so the loop holds no dispatcher or worker
+// while it waits. It retires on ErrStop, on cancellation, or on any
+// other error, which counts as a node error: a source error has nowhere
+// to flow (§2.4), as an accept-loop failure would end its server.
+func (s *Server) sourceLoop(ctx context.Context, st *sourceState, a sourceAdmitter) {
+	// Hoisted: the per-record cancellation check is a non-blocking
+	// receive, not a ctx.Err() call (an atomic load per admitted record
+	// on a cancellable context).
+	done := ctx.Done()
+	// One poll context serves every call; src lets the source draw from
+	// its record pool (NewRecord).
+	fl := s.newFlow(ctx, 0)
+	fl.src = st
+	defer s.freeFlow(fl)
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		rec, err := st.fn(fl)
+		switch {
+		case err == nil:
+			s.stats.Started.Add(1)
+			a.admit(fl, st, rec)
+		case errors.Is(err, ErrStop),
+			errors.Is(err, context.Canceled),
+			errors.Is(err, context.DeadlineExceeded):
+			return
+		default:
+			s.stats.NodeErrors.Add(1)
+			return
+		}
+	}
 }
 
 // EngineFactory builds an engine bound to a server. The factory is

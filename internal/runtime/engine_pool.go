@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 )
@@ -30,7 +29,7 @@ const poolBatch = 8
 // queues and is handled in first-in first-out order.
 //
 // Graceful drain is inherent to the structure: cancelling the start
-// context stops the source loops, the admission queue closes once they
+// context stops the sources, the admission queue closes once they
 // retire, and workers drain the remaining backlog before exiting.
 type poolEngine struct {
 	s     *Server
@@ -52,27 +51,14 @@ func (e *poolEngine) Start(ctx context.Context) error {
 		go e.worker(&workers)
 	}
 
-	var sources sync.WaitGroup
-	for _, st := range s.srcs {
-		sources.Add(1)
-		go e.sourceLoop(&sources, st)
-	}
-	if s.cfg.KeepAlive {
-		sources.Add(1)
-		go func() {
-			defer sources.Done()
-			<-ctx.Done()
-		}()
-	}
 	if s.obs != nil {
 		go e.sampleQueues()
 	}
-	go func() {
-		sources.Wait()
+	s.startSources(ctx, e, func() {
 		e.queue.close()
 		workers.Wait()
 		close(e.done)
-	}()
+	})
 	return nil
 }
 
@@ -109,41 +95,9 @@ func (e *poolEngine) carry(fl *Flow, st *sourceState, rec Record) bool {
 	return e.ctx.Err() == nil && e.queue.idle() && fl.car.hold(st, rec)
 }
 
-func (e *poolEngine) sourceLoop(sources *sync.WaitGroup, st *sourceState) {
-	defer sources.Done()
-	s, queue, ctx := e.s, e.queue, e.ctx
-	// Hoisted: ctx is a cancellable run context, so the per-record
-	// cancellation check is a non-blocking receive on its done channel,
-	// not a ctx.Err() call (an atomic load per admitted record).
-	done := ctx.Done()
-	// One poll context serves every iteration of this source loop;
-	// admitted records are handed flows by the workers.
-	fl := s.newFlow(ctx, 0)
-	fl.src = st // lets the source draw from its record pool (NewRecord)
-	defer s.freeFlow(fl)
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		rec, err := st.fn(fl)
-		switch {
-		case err == nil:
-			s.stats.Started.Add(1)
-			queue.push(pooledFlow{st: st, rec: rec, box: fl.takeRecBox()})
-		case errors.Is(err, ErrNoData):
-			fl.releaseRecord()
-			continue
-		case errors.Is(err, ErrStop):
-			return
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			return
-		default:
-			s.stats.NodeErrors.Add(1)
-			return
-		}
-	}
+// admit queues a source record for the workers, which build its flow.
+func (e *poolEngine) admit(poll *Flow, st *sourceState, rec Record) {
+	e.queue.push(pooledFlow{st: st, rec: rec, box: poll.takeRecBox()})
 }
 
 // sampleQueues feeds the observer plane the admission backlog depth —

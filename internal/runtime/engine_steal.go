@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,18 +17,18 @@ import (
 // shared queue's mutex. Config.withDefaults is the only difference
 // between the two kinds.
 //
-// A dispatcher must never block. Flows advance on it in run-to-block
+// A dispatcher must never block. Flows advance in run-to-block
 // segments: consecutive non-blocking vertices execute inline in one
 // dispatch (an N-node flow costs one queue trip, not N), and a flow
-// yields only when it must —
+// yields only when it must. Sources wait for readiness off the
+// dispatchers — in Go that wait is the netpoller, a goroutine blocked in
+// a read, where the paper's server blocks in one select — each on a
+// goroutine of its own (Server.startSources, as on every engine). A
+// source's record runs its first segment inline on that goroutine, the
+// way an offload worker carries a flow past a blocking node, so a flow
+// that never blocks or contends never reaches a dispatcher at all.
+// Past that first segment —
 //
-//   - source nodes are re-queued to originate new flows; they poll with
-//     a deadline (the select-with-timeout pattern the paper's web server
-//     uses), so an idle source holds its dispatcher for at most
-//     Config.SourceTimeout — which reproduces the low-concurrency latency
-//     hiccup of Figure 3. Work arriving for the dispatcher signals
-//     Flow.Wake, so a poll in progress yields at once (the paper's single
-//     select sees all activity);
 //   - nodes marked blocking are offloaded to a shared async pool, the Go
 //     analogue of the paper's LD_PRELOAD interception, and the offload
 //     worker that ran the node carries the flow on — further nodes,
@@ -39,25 +38,22 @@ import (
 //     the flow re-admits through SourceHandle.Continue (the next
 //     keep-alive request) runs next on the same worker, unless work waits
 //     in the async queue;
-//   - lock acquisition never blocks, on a dispatcher or an offload
-//     worker: a contended constraint parks the flow on the lock's FIFO
+//   - lock acquisition never blocks, on a dispatcher, an offload worker
+//     or a source's goroutine: a contended constraint parks the flow on the lock's FIFO
 //     wait queue through its intrusive waiter node (no closure, no
 //     allocation), so later acquirers cannot starve earlier ones. A flow
 //     holding the constraint can sit in the async queue waiting for a
 //     worker, so workers blocked on it would deadlock the pool. The grant
 //     resumes the waiter on the *releasing* flow's last dispatcher — the
-//     lock handoff already moved the protected state to that core.
+//     lock handoff already moved the protected state to that core — or
+//     through the injection queue if the releaser never ran on one.
 //
 // Scheduling across dispatchers follows multicore runtime schedulers
 // (Go's own P-local run queues, Cilk-style deques):
 //
 //   - each dispatcher owns a deque of events: it pushes and pops at the
 //     LIFO end, so a flow's continuation runs while its state is still
-//     cache-hot, and sources re-queue locally, keeping a flow's whole
-//     life on one core in the common case;
-//   - admissions are sharded: sources are distributed round-robin across
-//     the dispatchers at start, and each source's flows originate on its
-//     home dispatcher;
+//     cache-hot, keeping a flow's life on one core in the common case;
 //   - a dispatcher that runs dry batch-drains the injection queue
 //     (external Submit admissions and any work without a home), then
 //     steals the oldest half of a random victim's deque — oldest first,
@@ -73,20 +69,8 @@ import (
 // trip, from its own deque or the injection queue.
 const stealBatch = 8
 
-type eventKind int
-
-const (
-	evSource eventKind = iota // poll a source for the next record
-	evStep                    // resume a flow at a vertex
-)
-
+// event resumes a flow at a vertex.
 type event struct {
-	kind eventKind
-	st   *sourceState
-
-	// fl doubles as the flow being advanced (evStep) and the reusable
-	// poll context of an evSource event, so idle polling does not
-	// allocate a fresh Flow per ErrNoData round.
 	fl  *Flow
 	tbl *graphTable
 	v   *core.FlatNode
@@ -105,7 +89,8 @@ type stealEngine struct {
 	injectq  *fifo[event]
 	asyncq   *fifo[event]
 	inflight atomic.Int64
-	sources  atomic.Int64
+	// retired is set once every source has returned (startSources).
+	retired atomic.Bool
 	// nparked counts dispatchers currently in (or entering) the parked
 	// state, so the admission path skips the per-dispatcher wake scan —
 	// the common all-busy case costs one atomic load.
@@ -114,7 +99,7 @@ type stealEngine struct {
 	// successful offer, decremented by drainInject), so every dispatcher
 	// iteration can probe for external admissions with one atomic load
 	// instead of the queue mutex — an injected flow is picked up on the
-	// next event boundary, not after a poll-timeout backlog. Transiently
+	// next event boundary, not after a batch of local work. Transiently
 	// negative under racing drains; only > 0 is meaningful.
 	ninject atomic.Int64
 	// closing elects the single closer; closed is what dispatchers gate
@@ -132,9 +117,8 @@ type stealDispatcher struct {
 	e  *stealEngine
 	id int
 	dq deque[event]
-	// wake is the dispatcher's parking token and poll interrupt: parking
-	// blocks on it, and pushes to this dispatcher's deque signal it so a
-	// source poll in progress yields immediately.
+	// wake is the dispatcher's parking token: parking blocks on it, and
+	// producers signal it to unpark the dispatcher.
 	wake   chan struct{}
 	parked atomic.Bool
 	steals atomic.Uint64
@@ -182,23 +166,6 @@ func (e *stealEngine) Start(ctx context.Context) error {
 		}()
 	}
 
-	// Shard sources round-robin across dispatchers: each source's flows
-	// originate — and usually complete — on its home core.
-	for i, st := range s.srcs {
-		e.sources.Add(1)
-		e.disp[i%len(e.disp)].dq.push(event{kind: evSource, st: st})
-	}
-	if s.cfg.KeepAlive {
-		// A virtual source holds the engine open for Inject admissions;
-		// cancellation retires it and re-checks termination directly (a
-		// parked engine has no dispatcher to do it).
-		e.sources.Add(1)
-		go func() {
-			<-ctx.Done()
-			e.sources.Add(-1)
-			e.maybeFinish()
-		}()
-	}
 	if s.obs != nil {
 		go e.sampleQueues()
 	}
@@ -217,7 +184,26 @@ func (e *stealEngine) Start(ctx context.Context) error {
 		asyncWG.Wait()
 		close(e.done)
 	}()
+	// Retirement re-checks termination directly: a parked engine has no
+	// dispatcher to do it.
+	s.startSources(ctx, e, func() {
+		e.retired.Store(true)
+		e.maybeFinish()
+	})
 	return nil
+}
+
+// admit builds a source record's flow and runs its first run-to-block
+// segment inline on the source's goroutine: a blocking node still goes
+// to the offload pool and a contended constraint still parks the flow,
+// so the source goroutine is back at its source as soon as the flow
+// would yield a dispatcher. The source holds the engine open while it
+// runs (retired is unset), so termination needs no re-check here.
+func (e *stealEngine) admit(poll *Flow, st *sourceState, rec Record) {
+	fl := e.s.newFlow(e.ctx, st.sessionOf(rec))
+	fl.adoptRecord(poll)
+	e.inflight.Add(1)
+	e.run(fl, st.tbl, st.tbl.g.Entry, rec, 0, false)
 }
 
 // Submit admits an externally-originated flow through the injection
@@ -232,10 +218,9 @@ func (e *stealEngine) Submit(fl *Flow, rec Record) error {
 		return ErrServerClosed
 	default:
 	}
-	fl.SourceTimeout = e.s.cfg.SourceTimeout
 	e.inflight.Add(1)
 	tbl := fl.src.tbl
-	if !e.injectq.offer(event{kind: evStep, fl: fl, tbl: tbl, v: tbl.g.Entry, rec: rec}) {
+	if !e.injectq.offer(event{fl: fl, tbl: tbl, v: tbl.g.Entry, rec: rec}) {
 		e.inflight.Add(-1)
 		// The transient inflight bump may have been the last thing
 		// holding a closing dispatcher in its drain loop; re-announce
@@ -246,7 +231,7 @@ func (e *stealEngine) Submit(fl *Flow, rec Record) error {
 		return ErrServerClosed
 	}
 	e.ninject.Add(1)
-	e.wakeOne()
+	e.wakeOneParked()
 	return nil
 }
 
@@ -254,18 +239,17 @@ func (e *stealEngine) Drain(ctx context.Context) error {
 	return awaitDone(e.done, ctx)
 }
 
-// maybeFinish begins shutdown once no source is live and no flow is in
-// flight: evSource events hold sources > 0 until retired and evStep
-// events — and flows running on offload workers — hold inflight > 0,
-// so no settled work can be stranded by closing. A Submit can still
-// race the close — its flow accepted by the injection queue an instant
-// after the counters read zero — which is why dispatchers keep draining
-// after closed flips (nextClosing) and why the wake fan-out below runs
-// on every quiescence observation, not just the closing one: the
-// dispatcher that retires such a straggler re-wakes the others so they
-// can re-check and exit.
+// maybeFinish begins shutdown once every source has retired and no flow
+// is in flight: queued events — and flows running on offload workers or
+// on a source's goroutine — hold inflight > 0, so no settled work can be
+// stranded by closing. A Submit can still race the close — its flow
+// accepted by the injection queue an instant after the counters read
+// zero — which is why dispatchers keep draining after closed flips
+// (nextClosing) and why the wake fan-out below runs on every quiescence
+// observation, not just the closing one: the dispatcher that retires
+// such a straggler re-wakes the others so they can re-check and exit.
 func (e *stealEngine) maybeFinish() {
-	if e.sources.Load() != 0 || e.inflight.Load() != 0 {
+	if !e.retired.Load() || e.inflight.Load() != 0 {
 		return
 	}
 	if e.closing.CompareAndSwap(false, true) {
@@ -330,19 +314,6 @@ func (e *stealEngine) sampleQueues() {
 	}
 }
 
-// wakeOne unparks one parked dispatcher, or failing that interrupts one
-// dispatcher's source poll, so externally-pushed work is picked up
-// promptly.
-func (e *stealEngine) wakeOne() {
-	for _, d := range e.disp {
-		if d.parked.Load() {
-			d.signalWake()
-			return
-		}
-	}
-	e.disp[0].signalWake()
-}
-
 func (d *stealDispatcher) signalWake() {
 	select {
 	case d.wake <- struct{}{}:
@@ -350,15 +321,8 @@ func (d *stealDispatcher) signalWake() {
 	}
 }
 
-func (d *stealDispatcher) drainWake() {
-	select {
-	case <-d.wake:
-	default:
-	}
-}
-
 // pushTo lands an event on a specific dispatcher's deque and signals it,
-// cutting short a poll or unparking it if necessary.
+// unparking it if necessary.
 func (e *stealEngine) pushTo(d *stealDispatcher, ev event) {
 	d.dq.push(ev)
 	d.signalWake()
@@ -375,8 +339,8 @@ func (e *stealEngine) pushTo(d *stealDispatcher, ev event) {
 //
 // Work is claimed in batches (nextBatch), one mutex round trip per
 // stealBatch events instead of one per event. The buffer is
-// termination-check-safe: every buffered event holds sources > 0
-// (evSource) or inflight > 0 (evStep), so maybeFinish cannot observe
+// termination-check-safe: every buffered event holds inflight > 0, so
+// maybeFinish cannot observe
 // quiescence while events sit in a dispatcher's buffer. Buffered events
 // are invisible to thieves, but a batch is at most stealBatch long.
 func (d *stealDispatcher) loop() {
@@ -390,7 +354,7 @@ func (d *stealDispatcher) loop() {
 		for i := 0; i < n; i++ {
 			ev := buf[i]
 			buf[i] = event{} // release the record/flow for GC
-			d.handle(ev, i+1 < n)
+			d.handle(ev)
 			e.maybeFinish()
 			// External admissions must not wait out the rest of an owner
 			// batch: spill them onto the deque between buffered events,
@@ -499,9 +463,15 @@ func (e *stealEngine) anyDequeued(self *stealDispatcher) bool {
 	return false
 }
 
-// wakeOneParked unparks one parked dispatcher if there is one; unlike
-// wakeOne it never interrupts a busy dispatcher's poll. The all-busy
-// fast path is a single atomic load.
+// wakeOneParked unparks one parked dispatcher if there is one; the
+// all-busy fast path is a single atomic load. It is the only wake work
+// published to a shared queue needs: the producer publishes (offer,
+// push) before it reads nparked and the parked flags, and a parking
+// dispatcher announces (nparked, then parked) before it re-scans every
+// queue. Whichever side goes second sees the other's write, so a
+// dispatcher that this call skips finds the work in its pre-park scan; a
+// busy one reaches it at its next batch, and a closing one drains the
+// injection queue before it exits (nextClosing).
 func (e *stealEngine) wakeOneParked() {
 	if e.nparked.Load() == 0 {
 		return
@@ -560,107 +530,10 @@ func (d *stealDispatcher) steal() (event, bool) {
 // first: lock releases performed while it runs resume their waiters
 // onto this dispatcher's deque. A step may be a lock grant for a flow
 // that parked on an offload worker, so its next-flow slot is dropped: a
-// dispatcher cannot carry a successor. morePending reports events still
-// buffered by this dispatcher's current batch, which count as ready work
-// for source poll-shortening.
-func (d *stealDispatcher) handle(ev event, morePending bool) {
-	switch ev.kind {
-	case evSource:
-		d.handleSource(ev, morePending)
-	case evStep:
-		ev.fl.disp, ev.fl.car = d, nil
-		d.e.run(ev.fl, ev.tbl, ev.v, ev.rec, ev.acquired, false)
-	}
-}
-
-// retireSource ends a source's polling loop, releasing its poll context.
-func (d *stealDispatcher) retireSource(ev event) {
-	if ev.fl != nil {
-		d.e.s.freeFlow(ev.fl)
-	}
-	d.e.sources.Add(-1)
-}
-
-// handleSource polls a source once and re-queues it on this dispatcher's
-// deque; its flows originate here and stay here unless stolen.
-// morePending (events buffered by the caller's batch) shortens the
-// poll and suppresses the idle guard sleep, exactly as deque or
-// injection backlog does.
-func (d *stealDispatcher) handleSource(ev event, morePending bool) {
-	e := d.e
-	select {
-	case <-e.ctxDone:
-		d.retireSource(ev)
-		return
-	default:
-	}
-	if ev.fl == nil {
-		ev.fl = e.s.newFlow(e.ctx, 0)
-		ev.fl.SourceTimeout = e.s.cfg.SourceTimeout
-		ev.fl.src = ev.st
-	}
-	// The poll context's wake follows the source to its current
-	// dispatcher (the event may have been stolen).
-	ev.fl.Wake = d.wake
-	// Pre-arm the wake signal when work is already waiting — buffered by
-	// the current batch, locally queued, or in the injection queue — so a
-	// well-behaved source's select fires immediately. The queue probes
-	// are atomic loads.
-	d.drainWake()
-	if morePending || d.dq.len() > 0 || e.ninject.Load() > 0 {
-		d.signalWake()
-	}
-	t0 := time.Now()
-	rec, err := ev.st.fn(ev.fl)
-	switch {
-	case err == nil:
-		e.s.stats.Started.Add(1)
-		flow := e.s.newFlow(e.ctx, ev.st.sessionOf(rec))
-		flow.SourceTimeout = e.s.cfg.SourceTimeout
-		flow.adoptRecord(ev.fl)
-		flow.disp = d
-		e.inflight.Add(1)
-		// Re-queue the source first — at the FIFO end, so a dispatcher
-		// owning several sources rotates through them — then run the new
-		// flow inline until it blocks. The queued source event sits at
-		// the steal end, so a parked peer can take over admission while
-		// this core runs the flow.
-		d.dq.pushTop(ev)
-		e.wakeOneParked()
-		e.run(flow, ev.st.tbl, ev.st.tbl.g.Entry, rec, 0, false)
-	case errors.Is(err, ErrNoData):
-		ev.fl.releaseRecord() // a drawn-but-unused record goes back now
-		// Guard against sources that return early instead of waiting out
-		// their deadline: an idle engine would otherwise hot-spin. The
-		// guard sleep is interrupted by new work arriving (deque pushes
-		// and Submit both signal wake tokens) and skipped while the owner
-		// batch still buffers runnable events.
-		if !morePending && d.dq.len() == 0 && e.ninject.Load() <= 0 {
-			if rest := e.s.cfg.SourceTimeout - time.Since(t0); rest > 0 {
-				d.sleepWakeable(rest)
-			}
-		}
-		d.dq.pushTop(ev)
-	case errors.Is(err, ErrStop),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		d.retireSource(ev)
-	default:
-		e.s.stats.NodeErrors.Add(1)
-		d.retireSource(ev)
-	}
-}
-
-// sleepWakeable waits without outliving the run context, returning early
-// when new work arrives.
-func (d *stealDispatcher) sleepWakeable(dur time.Duration) {
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-d.wake:
-	case <-d.e.ctx.Done():
-	}
+// dispatcher cannot carry a successor.
+func (d *stealDispatcher) handle(ev event) {
+	ev.fl.disp, ev.fl.car = d, nil
+	d.e.run(ev.fl, ev.tbl, ev.v, ev.rec, ev.acquired, false)
 }
 
 // run executes consecutive vertices of one flow inline — run-to-block —
@@ -676,7 +549,7 @@ func (e *stealEngine) run(fl *Flow, tbl *graphTable, v *core.FlatNode, rec Recor
 		switch v.Kind {
 		case core.FlatExec:
 			if !onWorker && tbl.info[v.ID].blocking {
-				e.asyncq.push(event{kind: evStep, fl: fl, tbl: tbl, v: v, rec: rec})
+				e.asyncq.push(event{fl: fl, tbl: tbl, v: v, rec: rec})
 				return
 			}
 			out, err := s.callNode(fl, tbl, v, rec)
@@ -729,7 +602,7 @@ func (e *stealEngine) run(fl *Flow, tbl *graphTable, v *core.FlatNode, rec Recor
 // recently passed through — falling back to the injection queue for
 // flows that never ran on a dispatcher.
 func (e *stealEngine) resumeGranted(n *lockWaiterNode, by *Flow) {
-	ev := event{kind: evStep, fl: n.fl, tbl: n.tbl, v: n.v, rec: n.rec, acquired: n.acquired}
+	ev := event{fl: n.fl, tbl: n.tbl, v: n.v, rec: n.rec, acquired: n.acquired}
 	n.rec = nil // the event owns the record now; drop the node's pin
 	if d := by.disp; d != nil && d.e == e {
 		e.pushTo(d, ev)
@@ -737,7 +610,7 @@ func (e *stealEngine) resumeGranted(n *lockWaiterNode, by *Flow) {
 	}
 	if e.injectq.offer(ev) {
 		e.ninject.Add(1)
-		e.wakeOne()
+		e.wakeOneParked()
 		return
 	}
 	// The injection queue only closes once inflight == 0, and a granted
@@ -766,7 +639,6 @@ func (e *stealEngine) asyncWorker() {
 		e.run(ev.fl, ev.tbl, ev.v, ev.rec, 0, true)
 		for st, rec := car.take(); st != nil; st, rec = car.take() {
 			fl := s.newFlow(e.ctx, st.sessionOf(rec))
-			fl.SourceTimeout = s.cfg.SourceTimeout
 			fl.disp, fl.car = last, car
 			e.run(fl, st.tbl, st.tbl.g.Entry, rec, 0, true)
 		}

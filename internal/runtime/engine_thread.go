@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -15,11 +14,11 @@ type threadEngine struct {
 	s   *Server
 	ctx context.Context
 
-	// flows tracks in-flight flow goroutines. Source loops Add before
-	// their own WaitGroup entry resolves, so those Adds are ordered
-	// before the monitor's Wait; Submit's Adds are ordered by admitMu
-	// against the monitor setting draining. A successor carried on a
-	// flow's goroutine needs no Add: that goroutine is still counted.
+	// flows tracks in-flight flow goroutines. Sources Add before they
+	// return, so those Adds are ordered before the monitor's Wait;
+	// Submit's Adds are ordered by admitMu against the monitor setting
+	// draining. A successor carried on a flow's goroutine needs no Add:
+	// that goroutine is still counted.
 	flows sync.WaitGroup
 
 	admitMu  sync.Mutex
@@ -34,28 +33,13 @@ func newThreadEngine(s *Server) Engine {
 
 func (e *threadEngine) Start(ctx context.Context) error {
 	e.ctx = ctx
-	var sources sync.WaitGroup
-	for _, st := range e.s.srcs {
-		sources.Add(1)
-		go e.sourceLoop(&sources, st)
-	}
-	if e.s.cfg.KeepAlive {
-		// A virtual source that only retires on cancellation keeps the
-		// engine admitting Inject flows after real sources exhaust.
-		sources.Add(1)
-		go func() {
-			defer sources.Done()
-			<-ctx.Done()
-		}()
-	}
-	go func() {
-		sources.Wait()
+	e.s.startSources(ctx, e, func() {
 		e.admitMu.Lock()
 		e.draining.Store(true)
 		e.admitMu.Unlock()
 		e.flows.Wait()
 		close(e.done)
-	}()
+	})
 	return nil
 }
 
@@ -81,47 +65,12 @@ func (e *threadEngine) carry(fl *Flow, st *sourceState, rec Record) bool {
 	return e.ctx.Err() == nil && !e.draining.Load() && fl.car.hold(st, rec)
 }
 
-func (e *threadEngine) sourceLoop(sources *sync.WaitGroup, st *sourceState) {
-	defer sources.Done()
-	s, ctx := e.s, e.ctx
-	// Hoisted: the per-record cancellation check is a non-blocking
-	// receive, not a ctx.Err() call (an atomic load per admitted record
-	// on a cancellable context).
-	done := ctx.Done()
-	// One poll context serves every iteration of this source loop; only
-	// accepted records get a flow of their own.
-	fl := s.newFlow(ctx, 0)
-	fl.src = st // lets the source draw from its record pool (NewRecord)
-	defer s.freeFlow(fl)
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		rec, err := st.fn(fl)
-		switch {
-		case err == nil:
-			s.stats.Started.Add(1)
-			flow := s.newFlow(ctx, st.sessionOf(rec))
-			flow.adoptRecord(fl)
-			e.flows.Add(1)
-			go e.runOne(flow, st.tbl, rec)
-		case errors.Is(err, ErrNoData):
-			fl.releaseRecord()
-			continue
-		case errors.Is(err, ErrStop):
-			return
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			return
-		default:
-			// A source error terminates that source, as an accept-loop
-			// failure would (§2.4 covers node errors; source errors have
-			// nowhere to flow).
-			s.stats.NodeErrors.Add(1)
-			return
-		}
-	}
+// admit runs a source record's flow on a goroutine of its own.
+func (e *threadEngine) admit(poll *Flow, st *sourceState, rec Record) {
+	fl := e.s.newFlow(e.ctx, st.sessionOf(rec))
+	fl.adoptRecord(poll)
+	e.flows.Add(1)
+	go e.runOne(fl, st.tbl, rec)
 }
 
 func (e *threadEngine) Submit(fl *Flow, rec Record) error {

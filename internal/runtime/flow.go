@@ -18,22 +18,6 @@ type Flow struct {
 	// session-id function, or 0 (§2.5.1).
 	Session uint64
 
-	// SourceTimeout, when nonzero, asks the source function to poll with
-	// a deadline and return ErrNoData on expiry. The event-driven engine
-	// sets it so a dispatcher is never blocked indefinitely inside a
-	// source (the select-with-timeout pattern of §4.2).
-	SourceTimeout time.Duration
-
-	// Wake, when non-nil, is signaled by the event-driven engine when
-	// other work arrives for the polling dispatcher. Channel-based sources
-	// should include it in their select and return ErrNoData — the
-	// paper's server blocks in one select watching all activity, so any
-	// completion wakes it; Wake is that "other activity" signal for
-	// sources that only watch their own readiness. Sources that ignore
-	// it still work, at the cost of holding the dispatcher for up to
-	// SourceTimeout per poll.
-	Wake <-chan struct{}
-
 	// path accumulates the Ball-Larus path register: one addition per
 	// traversed edge (§5.2).
 	path uint64
@@ -119,10 +103,9 @@ func (fl *Flow) takeRecBox() *pooledRec {
 	return b
 }
 
-// releaseRecord reclaims an attached pooled record immediately: the
-// flow terminal's free for retired flows, and the engines' cleanup when
-// a source draws a record but then produces no flow (ErrNoData), so the
-// long-lived poll context keeps pooling.
+// releaseRecord reclaims an attached pooled record: the flow terminal's
+// free for retired flows, and the poll context's when its source retires
+// after drawing a record it did not return.
 func (fl *Flow) releaseRecord() {
 	if b := fl.recBox; b != nil {
 		fl.recBox = nil

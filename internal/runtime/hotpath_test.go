@@ -273,8 +273,7 @@ func TestSourceRecordPoolCorrectness(t *testing.T) {
 					sum.Add(int64(in[0].(int)))
 					return nil, nil
 				})
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4,
-				Dispatchers: 2, SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, Dispatchers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,8 +319,7 @@ func TestSourceRecordPoolRecyclesAtTerminal(t *testing.T) {
 				}).
 				BindNode("Double", nopNode).
 				BindNode("Sink", nopNode)
-			s, err := NewServer(p, b, Config{Kind: kind, Dispatchers: 1,
-				SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, Dispatchers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +361,7 @@ func TestEventEngineRunToBlockSingleTrip(t *testing.T) {
 		})
 	// A single dispatcher running flows to completion inline can never
 	// have two flows inside node code at once.
-	s, err := NewServer(p, b, Config{Kind: EventDriven, Dispatchers: 1, SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: EventDriven, Dispatchers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,7 @@ func stoppedSourceServer(t *testing.T, kind EngineKind, sink NodeFunc) *Server {
 		BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
 		BindNode("Double", nopNode).
 		BindNode("Sink", sink)
-	s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, Dispatchers: 2,
-		SourceTimeout: time.Millisecond, KeepAlive: true})
+	s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, Dispatchers: 2, KeepAlive: true})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}

@@ -50,8 +50,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 					return nil, nil
 				}).
 				MarkBlocking("Double") // lets the event dispatcher admit several
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, AsyncWorkers: 4,
-				SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, AsyncWorkers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +108,7 @@ func TestShutdownDeadline(t *testing.T) {
 				}).
 				BindNode("Sink", nopNode).
 				MarkBlocking("Double")
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2, SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,8 +154,7 @@ func TestInjectRunsFlows(t *testing.T) {
 					mu.Unlock()
 					return nil, nil
 				})
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2,
-				SourceTimeout: time.Millisecond, KeepAlive: true})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2, KeepAlive: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,43 +396,18 @@ type inlineEngine struct {
 
 func (e *inlineEngine) Start(ctx context.Context) error {
 	e.ctx = ctx
-	var wg sync.WaitGroup
-	for _, st := range e.s.srcs {
-		wg.Add(1)
-		go func(st *sourceState) {
-			defer wg.Done()
-			poll := e.s.newFlow(ctx, 0)
-			defer e.s.freeFlow(poll)
-			for ctx.Err() == nil {
-				rec, err := st.fn(poll)
-				switch {
-				case err == nil:
-					e.s.stats.Started.Add(1)
-					fl := e.s.newFlow(ctx, st.sessionOf(rec))
-					e.s.runFlow(fl, st.tbl, rec)
-				case errors.Is(err, ErrNoData):
-				default:
-					return
-				}
-			}
-		}(st)
-	}
-	if e.s.cfg.KeepAlive {
-		// As in the real engines: a virtual source retiring only on
-		// cancellation keeps Inject admitted after the sources exhaust.
-		// Registration is global, so later -count rounds of
-		// TestInjectRunsFlows run this engine too.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-ctx.Done()
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(e.done)
-	}()
+	// startSources adds, as for the real engines, a stand-in source under
+	// KeepAlive that holds Inject admitted after the sources exhaust.
+	// Registration is global, so later -count rounds of
+	// TestInjectRunsFlows run this engine too.
+	e.s.startSources(ctx, e, func() { close(e.done) })
 	return nil
+}
+
+func (e *inlineEngine) admit(poll *Flow, st *sourceState, rec Record) {
+	fl := e.s.newFlow(e.ctx, st.sessionOf(rec))
+	fl.adoptRecord(poll)
+	e.s.runFlow(fl, st.tbl, rec)
 }
 
 func (e *inlineEngine) Submit(fl *Flow, rec Record) error {
@@ -540,8 +513,7 @@ func TestObserverQueueDepthSampling(t *testing.T) {
 				}).
 				BindNode("Double", nopNode).
 				BindNode("Sink", nopNode)
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2,
-				SourceTimeout: time.Millisecond, Observer: obs, QueueSample: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2, Observer: obs, QueueSample: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -128,8 +128,7 @@ func TestQueueDepthCarriesServerKind(t *testing.T) {
 		BindNode("Double", nopNode).
 		BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
 	q := &queueKinds{kinds: map[string]map[EngineKind]bool{}}
-	s, err := NewServer(p, b, Config{Kind: EventDriven, Observer: q, KeepAlive: true,
-		QueueSample: time.Millisecond, SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: EventDriven, Observer: q, KeepAlive: true, QueueSample: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,12 +37,6 @@ func WithAsyncWorkers(n int) Option {
 	return func(c *Config) { c.AsyncWorkers = n }
 }
 
-// WithSourceTimeout sets the polling deadline handed to sources by the
-// event-driven engine (default 20ms).
-func WithSourceTimeout(d time.Duration) Option {
-	return func(c *Config) { c.SourceTimeout = d }
-}
-
 // WithObserver attaches an observer to the server's unified
 // observability plane: flow terminals (including errors and drops),
 // node completions, and queue-depth samples.

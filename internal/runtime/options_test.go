@@ -22,9 +22,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.AsyncWorkers != 16 {
 		t.Errorf("AsyncWorkers default = %d, want 16", c.AsyncWorkers)
 	}
-	if c.SourceTimeout != 20*time.Millisecond {
-		t.Errorf("SourceTimeout default = %v, want 20ms", c.SourceTimeout)
-	}
 	if c.QueueSample != 100*time.Millisecond {
 		t.Errorf("QueueSample default = %v, want 100ms", c.QueueSample)
 	}
@@ -40,10 +37,9 @@ func TestConfigDefaults(t *testing.T) {
 			cs.Dispatchers, runtime.GOMAXPROCS(0))
 	}
 	// Explicit settings survive withDefaults.
-	c2 := Config{PoolSize: 3, Dispatchers: 2, AsyncWorkers: 5,
-		SourceTimeout: time.Second, QueueSample: time.Minute}.withDefaults()
+	c2 := Config{PoolSize: 3, Dispatchers: 2, AsyncWorkers: 5, QueueSample: time.Minute}.withDefaults()
 	if c2.PoolSize != 3 || c2.Dispatchers != 2 || c2.AsyncWorkers != 5 ||
-		c2.SourceTimeout != time.Second || c2.QueueSample != time.Minute {
+		c2.QueueSample != time.Minute {
 		t.Errorf("explicit values clobbered: %+v", c2)
 	}
 	if cs := (Config{Kind: WorkStealing, Dispatchers: 3}).withDefaults(); cs.Dispatchers != 3 {
@@ -65,7 +61,6 @@ func TestOptionsPopulateConfig(t *testing.T) {
 		WithPoolSize(7),
 		WithDispatchers(2),
 		WithAsyncWorkers(3),
-		WithSourceTimeout(5*time.Millisecond),
 		WithObserver(obs),
 		WithKeepAlive(),
 		WithQueueSampleInterval(time.Second),
@@ -75,7 +70,7 @@ func TestOptionsPopulateConfig(t *testing.T) {
 	}
 	c := s.cfg
 	if c.Kind != EventDriven || c.PoolSize != 7 || c.Dispatchers != 2 ||
-		c.AsyncWorkers != 3 || c.SourceTimeout != 5*time.Millisecond ||
+		c.AsyncWorkers != 3 ||
 		!c.KeepAlive || c.QueueSample != time.Second {
 		t.Errorf("options not applied: %+v", c)
 	}

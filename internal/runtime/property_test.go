@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // TestFlowConservationProperty: for randomized programs (branch fan-out,
@@ -68,7 +67,7 @@ func TestFlowConservationProperty(t *testing.T) {
 			})
 		}
 
-		s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, SourceTimeout: time.Millisecond})
+		s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4})
 		if err != nil {
 			t.Logf("NewServer: %v", err)
 			return false

@@ -201,19 +201,6 @@ func TestIntervalSourceCadence(t *testing.T) {
 	}
 }
 
-func TestIntervalSourceHonorsPollDeadline(t *testing.T) {
-	src := IntervalSource(time.Hour)
-	fl := &Flow{Ctx: t.Context(), SourceTimeout: 5 * time.Millisecond}
-	start := time.Now()
-	_, err := src(fl)
-	if err != ErrNoData {
-		t.Fatalf("err = %v, want ErrNoData", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("poll held for %v, want ~5ms", elapsed)
-	}
-}
-
 func TestIntervalSourceResyncAfterStall(t *testing.T) {
 	src := IntervalSource(10 * time.Millisecond)
 	fl := &Flow{Ctx: t.Context()}

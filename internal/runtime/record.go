@@ -28,27 +28,22 @@ func (r Record) Clone() Record {
 	return out
 }
 
-// Sentinel errors a SourceFunc can return to steer its engine.
-var (
-	// ErrStop tells the engine the source is exhausted; its loop exits.
-	// Long-running servers never return it; bounded workloads and tests
-	// do.
-	ErrStop = errors.New("flux/runtime: source stopped")
-
-	// ErrNoData tells the engine the source found nothing before its
-	// polling deadline; the engine re-issues the source later. Sources
-	// used with the event-driven engine must poll with a deadline (the
-	// paper's select-with-timeout pattern, §4.2) and return ErrNoData on
-	// expiry so they never wedge a dispatcher.
-	ErrNoData = errors.New("flux/runtime: no data before deadline")
-)
+// ErrStop tells the engine a source is exhausted; its loop exits.
+// Long-running servers never return it; bounded workloads and tests do.
+var ErrStop = errors.New("flux/runtime: source stopped")
 
 // NodeFunc implements a concrete node: it consumes the input record and
 // produces the output record. Returning a non-nil error routes the flow
 // to the node's error handler, or terminates it (§2.4).
 type NodeFunc func(fl *Flow, in Record) (Record, error)
 
-// SourceFunc produces one record per call to initiate a flow (§2.1).
+// SourceFunc produces one record per call to initiate a flow (§2.1). On
+// every engine a source runs on a goroutine of its own, called by one
+// goroutine at a time, so it may keep unsynchronized state between
+// calls. A call blocks until it has a record or fl.Ctx is done, and then
+// returns fl.Ctx.Err(): a source that ignores cancellation hangs the
+// server's drain. Returning ErrStop retires the source; any other error
+// retires it and counts as a node error.
 type SourceFunc func(fl *Flow) (Record, error)
 
 // PredicateFunc implements a predicate type (§2.3): an arbitrary boolean

@@ -22,11 +22,14 @@ const (
 	// ThreadPool services flows with a fixed pool of goroutines; flows
 	// arriving when all workers are busy queue in FIFO order.
 	ThreadPool
-	// EventDriven runs every node activation as an event on a dispatcher
-	// that never blocks (§3.2.2): blocking nodes are offloaded to an
-	// async-I/O pool, whose worker carries the flow on from there. It
-	// defaults to one dispatcher, the paper's single-threaded event
-	// server.
+	// EventDriven runs node activations as events on a dispatcher that
+	// never blocks (§3.2.2): blocking nodes are offloaded to an async-I/O
+	// pool, whose worker carries the flow on from there. Sources block on
+	// goroutines of their own, as on every engine, and a source's record
+	// runs its first run-to-block segment on that goroutine, as an
+	// offload worker carries a flow past a blocking node; only flows
+	// that yield reach a dispatcher. It defaults to one dispatcher, the
+	// paper's single-threaded event server.
 	EventDriven
 	// WorkStealing is the same engine with one dispatcher per core
 	// (default GOMAXPROCS), each owning a local run deque — LIFO for the
@@ -65,11 +68,6 @@ type Config struct {
 	// pool (default 16).
 	AsyncWorkers int
 
-	// SourceTimeout is the polling deadline handed to sources by the
-	// event-driven engine (default 20ms). Larger values reproduce the
-	// low-concurrency latency "hiccup" of Figure 3 more visibly.
-	SourceTimeout time.Duration
-
 	// Observer, when non-nil, receives flow terminals (including drops
 	// and errors), node completions, and queue-depth samples.
 	Observer Observer
@@ -96,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AsyncWorkers <= 0 {
 		c.AsyncWorkers = 16
-	}
-	if c.SourceTimeout <= 0 {
-		c.SourceTimeout = 20 * time.Millisecond
 	}
 	if c.QueueSample <= 0 {
 		c.QueueSample = 100 * time.Millisecond
@@ -548,8 +543,6 @@ func (s *Server) freeFlow(fl *Flow) {
 	fl.releaseRecord()
 	fl.Ctx = nil
 	fl.Session = 0
-	fl.SourceTimeout = 0
-	fl.Wake = nil
 	fl.path = 0
 	fl.srv = nil
 	fl.src = nil

@@ -64,7 +64,7 @@ func buildPipeline(t *testing.T, kind EngineKind, n int) (*Server, *[]int, *sync
 			mu.Unlock()
 			return nil, nil
 		})
-	s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestErrorHandlerInvoked(t *testing.T) {
 					handled.Add(1)
 					return nil, nil
 				})
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4, SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestAtomicityConstraintSerializes(t *testing.T) {
 					return in, nil
 				}).
 				BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 16, SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,7 +443,7 @@ func TestContextCancelStopsSources(t *testing.T) {
 				}).
 				BindNode("Double", nopNode).
 				BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2, SourceTimeout: time.Millisecond})
+			s, err := NewServer(p, b, Config{Kind: kind, PoolSize: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -478,7 +478,7 @@ func TestEventEngineOffloadsBlockingNodes(t *testing.T) {
 		}).
 		BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil }).
 		MarkBlocking("Double")
-	s, err := NewServer(p, b, Config{Kind: EventDriven, AsyncWorkers: 8, SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: EventDriven, AsyncWorkers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

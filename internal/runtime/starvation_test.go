@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,8 +32,7 @@ atomic Crit:{state};
 			sunk.Add(1)
 			return nil, nil
 		})
-	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 4,
-		SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,7 @@ Flow = Double -> Sink;
 			got <- in[0].(int)
 			return nil, nil
 		})
-	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 4,
-		SourceTimeout: time.Millisecond, KeepAlive: true})
+	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 4, KeepAlive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +113,9 @@ Flow = Double -> Sink;
 	}
 }
 
-// TestStealEngineSourcesShareOneDispatcher: two always-ready sources
-// homed on a single dispatcher must both make progress. Re-queueing a
-// polled source at the deque's LIFO end would pop it straight back and
-// starve its sibling forever; the FIFO-end re-queue rotates them.
+// TestStealEngineSourcesShareOneDispatcher: two always-ready sources on
+// a one-dispatcher engine must both make progress. Each runs on a
+// goroutine of its own, so neither can hold the other's admission.
 func TestStealEngineSourcesShareOneDispatcher(t *testing.T) {
 	p := compileSrc(t, `
 GenA () => (int v);
@@ -144,8 +142,7 @@ FB = Turn;
 		BindSource("GenB", busy(&bn)).
 		BindNode("Apply", nopNode).
 		BindNode("Turn", nopNode)
-	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 1,
-		SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,47 +156,100 @@ FB = Turn;
 }
 
 // TestStealEngineInjectNotStarvedByBusyDeques: with every dispatcher's
-// local deque continuously non-empty (saturating sources), injected
-// flows must still complete promptly — the periodic injection-queue
-// check is what keeps external admissions from starving behind local
-// work.
+// local deque continuously non-empty, injected flows must still complete
+// promptly — the periodic injection-queue check is what keeps external
+// admissions from starving behind local work. The pressure is two lock
+// chains: two pairs of busy sources keep up to 64 flows per pair
+// contending on the pair's constraint, and every release a dispatcher
+// performs lands the next waiter's grant on that dispatcher's deque.
 func TestStealEngineInjectNotStarvedByBusyDeques(t *testing.T) {
 	p := compileSrc(t, `
-Busy () => (int v);
+BusyA1 () => (int v);
+BusyA2 () => (int v);
+BusyB1 () => (int v);
+BusyB2 () => (int v);
+CritA (int v) => ();
+CritB (int v) => ();
+Ext () => (int v);
 Apply (int v) => ();
-source Busy => Input;
-Input = Apply;
+source BusyA1 => FA1;
+FA1 = CritA;
+source BusyA2 => FA2;
+FA2 = CritA;
+source BusyB1 => FB1;
+FB1 = CritB;
+source BusyB2 => FB2;
+FB2 = CritB;
+source Ext => Outside;
+Outside = Apply;
+atomic CritA:{a};
+atomic CritB:{b};
 `)
 	var injected atomic.Int64
-	b := NewBindings().
-		BindSource("Busy", func(fl *Flow) (Record, error) {
-			// Always has data: the dispatcher's deque never drains.
-			if fl.Ctx.Err() != nil {
+	busy := func() (SourceFunc, NodeFunc) {
+		sem := make(chan struct{}, 64)
+		src := func(fl *Flow) (Record, error) {
+			select {
+			case sem <- struct{}{}:
+				return Record{0}, nil
+			case <-fl.Ctx.Done():
 				return nil, fl.Ctx.Err()
 			}
-			return Record{0}, nil
-		}).
+		}
+		crit := func(fl *Flow, in Record) (Record, error) {
+			<-sem
+			return nil, nil
+		}
+		return src, crit
+	}
+	srcA, critA := busy()
+	srcB, critB := busy()
+	b := NewBindings().
+		BindSource("BusyA1", srcA).
+		BindSource("BusyA2", srcA).
+		BindSource("BusyB1", srcB).
+		BindSource("BusyB2", srcB).
+		BindNode("CritA", critA).
+		BindNode("CritB", critB).
+		BindSource("Ext", func(fl *Flow) (Record, error) { return nil, ErrStop }).
 		BindNode("Apply", func(fl *Flow, in Record) (Record, error) {
-			if in[0].(int) != 0 {
-				injected.Add(1)
-			}
+			injected.Add(1)
 			return nil, nil
 		})
-	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 2,
-		SourceTimeout: time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	e := s.engine.(*stealEngine)
+	// The pressure must be real: wait until the lock chains keep local
+	// deques busy before injecting.
+	queued := func() bool {
+		for _, d := range e.disp {
+			if d.dq.len() > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	seen := queued()
+	for !seen && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+		seen = queued()
+	}
+	if !seen {
+		t.Fatal("busy sources never put work on a dispatcher deque")
+	}
 	const n = 30
 	for i := 1; i <= n; i++ {
-		if err := s.Inject("Busy", Record{i}); err != nil {
+		if err := s.Inject("Ext", Record{i}); err != nil {
 			t.Fatalf("Inject(%d): %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for injected.Load() < n && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
@@ -211,6 +261,64 @@ Input = Apply;
 	}
 	if got < n {
 		t.Errorf("only %d/%d injected flows ran while sources stayed busy", got, n)
+	}
+}
+
+// TestBlockingSourceHoldsNoDispatcher: a source that blocks until
+// cancellation, as every source may, must hold no dispatcher or worker
+// while it waits — on every engine, and on the event engine's lone
+// dispatcher in particular. Injected flows all complete meanwhile, and
+// cancellation ends the wait so Shutdown returns within its deadline.
+func TestBlockingSourceHoldsNoDispatcher(t *testing.T) {
+	for _, kind := range allEngines() {
+		t.Run(kind.String(), func(t *testing.T) {
+			p := compileSrc(t, pipelineSrc)
+			var sunk atomic.Int64
+			b := NewBindings().
+				BindSource("Gen", func(fl *Flow) (Record, error) {
+					<-fl.Ctx.Done()
+					return nil, fl.Ctx.Err()
+				}).
+				BindNode("Double", nopNode).
+				BindNode("Sink", func(fl *Flow, in Record) (Record, error) {
+					sunk.Add(1)
+					return nil, nil
+				})
+			cfg := Config{Kind: kind, PoolSize: 2}
+			if kind == EventDriven {
+				cfg.Dispatchers = 1
+			}
+			s, err := NewServer(p, b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := s.Source("Gen")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			const n = 1000
+			for i := 0; i < n; i++ {
+				if err := h.Inject(Record{i}); err != nil {
+					t.Fatalf("Inject(%d): %v", i, err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for sunk.Load() < n && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			got := sunk.Load()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			if got < n {
+				t.Errorf("%d/%d injected flows ran while the source blocked", got, n)
+			}
+		})
 	}
 }
 
@@ -249,8 +357,7 @@ atomic Turn:{state};
 			turns.Add(1)
 			return nil, nil
 		})
-	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 2,
-		SourceTimeout: 5 * time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: WorkStealing, Dispatchers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +415,7 @@ atomic Turn:{state};
 			turns.Add(1)
 			return nil, nil
 		})
-	s, err := NewServer(p, b, Config{Kind: EventDriven, SourceTimeout: 5 * time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: EventDriven})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +434,10 @@ atomic Turn:{state};
 }
 
 // TestEventEngineTimerWithUDPSource replicates the game server's exact
-// structure: a UDP read-with-deadline source plus an interval source,
-// under a packet stream. This is the integration shape where heartbeat
-// starvation was observed.
+// structure: a blocking UDP read source plus an interval source, under a
+// packet stream. This is the integration shape where heartbeat
+// starvation was observed. The read honors fl.Ctx the way the game
+// server's does: cancellation closes the socket.
 func TestEventEngineTimerWithUDPSource(t *testing.T) {
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -351,23 +459,17 @@ atomic Turn:{state};
 `)
 	var turns, applies atomic.Int64
 	interval := IntervalSource(50 * time.Millisecond)
+	var closeOnCancel sync.Once
 	b := NewBindings().
 		BindSource("Recv", func(fl *Flow) (Record, error) {
+			closeOnCancel.Do(func() {
+				context.AfterFunc(fl.Ctx, func() { conn.Close() })
+			})
 			buf := make([]byte, 64)
-			deadline := time.Time{}
-			if fl.SourceTimeout > 0 {
-				deadline = time.Now().Add(fl.SourceTimeout)
-			}
-			if err := conn.SetReadDeadline(deadline); err != nil {
-				return nil, ErrStop
-			}
 			n, _, err := conn.ReadFromUDP(buf)
 			if err != nil {
 				if fl.Ctx.Err() != nil {
 					return nil, fl.Ctx.Err()
-				}
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					return nil, ErrNoData
 				}
 				return nil, ErrStop
 			}
@@ -382,7 +484,7 @@ atomic Turn:{state};
 			turns.Add(1)
 			return nil, nil
 		})
-	s, err := NewServer(p, b, Config{Kind: EventDriven, SourceTimeout: 5 * time.Millisecond})
+	s, err := NewServer(p, b, Config{Kind: EventDriven})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,9 +131,18 @@ func (s *Server) servePeer(conn net.Conn) {
 			}
 			s.bytesOut.Add(uint64(len(blk)))
 			s.served.Add(1)
+		case torrent.MsgHave:
+			// A pure seeder has no use for a have, but one past the last
+			// piece is a protocol violation that ends the connection.
+			if m.Index >= uint32(s.cfg.Meta.NumPieces()) {
+				return
+			}
+		case torrent.MsgBitfield:
+			if len(m.Payload) != len(s.store.Bitfield()) {
+				return
+			}
 		default:
-			// choke/unchoke/have/bitfield/cancel/keep-alive: ignored
-			// by a pure seeder.
+			// choke/unchoke/cancel/keep-alive: ignored by a pure seeder.
 		}
 	}
 }

@@ -86,6 +86,9 @@ Unregister (peerref *p, bool close, message *msg) => (peerref *p, bool close, me
 source Poll => Message;
 Message = GetClients -> SelectSockets -> CheckSockets -> ReadMessage -> HandleMessage -> MessageDone;
 handle error ReadMessage => DropPeer;
+handle error Bitfield => DropPeer;
+handle error Have => DropPeer;
+handle error Request => DropPeer;
 
 typedef bitfield IsBitfield;
 typedef have IsHave;
@@ -178,10 +181,9 @@ type Config struct {
 	// PollInterval is the select timeout of the message loop (default
 	// 500µs) — the paper's most frequent path is the empty poll.
 	PollInterval time.Duration
-	// Engine, PoolSize, SourceTimeout configure the runtime.
-	Engine        runtime.EngineKind
-	PoolSize      int
-	SourceTimeout time.Duration
+	// Engine, PoolSize configure the runtime.
+	Engine   runtime.EngineKind
+	PoolSize int
 	// Telemetry, when non-nil, is the server's observer: flow terminals
 	// by path (the §5.2 profile), node latencies, queue depths,
 	// per-message-type counters (msg/*), and the connection plane's
@@ -222,6 +224,9 @@ type Server struct {
 	peerID [20]byte
 
 	inbox chan *inboxItem
+	// pollTimer is the message loop's select timeout, re-armed by each
+	// poll; the Poll source runs on one goroutine, so one timer serves.
+	pollTimer *time.Timer
 
 	// peers is guarded by the Flux "peers" constraint.
 	peers       map[*Peer]bool
@@ -386,7 +391,6 @@ func New(cfg Config) (*Server, error) {
 	rt, err := runtime.New(prog, b,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
-		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(s.obs),
 	)
 	if err != nil {
@@ -509,30 +513,27 @@ func (s *Server) listen(fl *runtime.Flow) (runtime.Record, error) {
 }
 
 // poll is the select loop: it returns a ready inbox item, or an empty
-// token when the poll interval elapses with nothing ready.
+// token when the poll interval elapses with nothing ready — the select
+// timeout of the paper's Figure 7, whose empty poll is the seeder's most
+// frequent path (§5.2).
 func (s *Server) poll(fl *runtime.Flow) (runtime.Record, error) {
-	wait := s.cfg.PollInterval
-	if fl.SourceTimeout > 0 && fl.SourceTimeout < wait {
-		wait = fl.SourceTimeout
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	if fl.Wake != nil {
-		select {
-		case item := <-s.inbox:
-			return runtime.Record{&pollToken{item: item}}, nil
-		case <-t.C:
-			return runtime.Record{&pollToken{}}, nil
-		case <-fl.Wake:
-			// The engine has pending work; yield without consuming the
-			// empty-poll path (which would count as a flow).
-			return nil, runtime.ErrNoData
-		case <-fl.Ctx.Done():
-			return nil, fl.Ctx.Err()
-		}
+	t := s.pollTimer
+	if t == nil {
+		t = time.NewTimer(s.cfg.PollInterval)
+		s.pollTimer = t
+	} else {
+		t.Reset(s.cfg.PollInterval)
 	}
 	select {
 	case item := <-s.inbox:
+		// Disarm for the next Reset; a timer that fired meanwhile has
+		// its tick drained, so the next poll cannot see it.
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
+			}
+		}
 		return runtime.Record{&pollToken{item: item}}, nil
 	case <-t.C:
 		return runtime.Record{&pollToken{}}, nil
@@ -541,7 +542,7 @@ func (s *Server) poll(fl *runtime.Flow) (runtime.Record, error) {
 	}
 }
 
-// timer builds a deadline-aware interval source.
+// timer builds an interval source.
 func (s *Server) timer(interval time.Duration) runtime.SourceFunc {
 	return runtime.IntervalSource(interval)
 }

@@ -104,7 +104,6 @@ func TestAllEnginesSeed(t *testing.T) {
 			_, addr, stop := startSeeder(t, Config{
 				Meta: meta, Content: data,
 				Engine: kind, PoolSize: 8,
-				SourceTimeout: time.Millisecond,
 			})
 			defer stop()
 			res := loadgen.RunBTLoad(context.Background(), loadgen.BTClientConfig{

@@ -124,11 +124,30 @@ func converse(t *testing.T, addr string, meta *torrent.MetaInfo, data []byte) []
 	}
 }
 
+// sendBadHave opens a connection, sends a have past the last piece after
+// the bitfield, and returns the error that ends its next read: io.EOF
+// when the seeder drops the connection.
+func sendBadHave(t *testing.T, addr string, meta *torrent.MetaInfo) error {
+	t.Helper()
+	p := dialScripted(t, addr, meta)
+	if m, _, err := p.recv(); err != nil || m.ID != torrent.MsgBitfield {
+		t.Fatalf("first message: %v, %v; want a bitfield", m, err)
+	}
+	p.send(&torrent.Message{ID: torrent.MsgHave, Index: 1 << 31})
+	_ = p.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	m, _, err := p.recv()
+	if err == nil {
+		t.Fatalf("after the bad have: got %s, want the connection ended", m.Kind())
+	}
+	return err
+}
+
 // TestWireParityWithCtorrent: the Flux seeder and the ctorrent baseline
 // answer one scripted leecher conversation with byte-identical frames,
-// apart from the peer ID in the handshake. The two make the same
-// protocol choices (interest earns an unchoke, nothing is sent unasked),
-// so no difference is allowed for.
+// apart from the peer ID in the handshake, and both end a connection
+// that sends a have past the last piece. The two make the same protocol
+// choices (interest earns an unchoke, nothing is sent unasked), so no
+// difference is allowed for.
 func TestWireParityWithCtorrent(t *testing.T) {
 	meta, data := testTorrent(t, 2*64*1024+20000) // last piece: a full block and a short one
 
@@ -145,6 +164,9 @@ func TestWireParityWithCtorrent(t *testing.T) {
 	want := converse(t, ct.Addr(), meta, data)
 	if len(want) != 7 {
 		t.Fatalf("ctorrent sent %d frames, want 7 (handshake, bitfield, unchoke, 4 pieces)", len(want))
+	}
+	if err := sendBadHave(t, ct.Addr(), meta); err != io.EOF {
+		t.Fatalf("ctorrent after a bad have: %v, want EOF", err)
 	}
 
 	for _, kind := range []runtime.EngineKind{runtime.ThreadPerFlow, runtime.ThreadPool, runtime.EventDriven, runtime.WorkStealing} {
@@ -163,31 +185,37 @@ func TestWireParityWithCtorrent(t *testing.T) {
 						i, got[i].kind, len(got[i].raw), want[i].kind, len(want[i].raw))
 				}
 			}
+			if err := sendBadHave(t, addr, meta); err != io.EOF {
+				t.Errorf("after a bad have: %v, want EOF as from ctorrent", err)
+			}
 		})
 	}
 }
 
 // TestHaveOutOfRange: a have for a piece past the torrent errors its
-// message flow, and the seeder goes on serving the peer that sent it.
-// The index is 1<<31, which a 32-bit int makes negative: converted
-// before the range check, it passed the check and crashed the seeder.
+// message flow, whose handler drops the peer that sent it, and the
+// seeder goes on serving a fresh connection. The index is 1<<31, which a
+// 32-bit int makes negative: converted before the range check, it passed
+// the check and crashed the seeder.
 func TestHaveOutOfRange(t *testing.T) {
 	meta, data := testTorrent(t, 128*1024)
 	s, addr, stop := startSeeder(t, Config{Meta: meta, Content: data, Engine: runtime.ThreadPool, PoolSize: 4})
 	defer stop()
 
+	if err := sendBadHave(t, addr, meta); err != io.EOF {
+		t.Fatalf("after the bad have: %v, want EOF", err)
+	}
 	p := dialScripted(t, addr, meta)
 	if m, _, err := p.recv(); err != nil || m.ID != torrent.MsgBitfield {
 		t.Fatalf("first message: %v, %v; want a bitfield", m, err)
 	}
-	p.send(&torrent.Message{ID: torrent.MsgHave, Index: 1 << 31})
 	p.send(&torrent.Message{ID: torrent.MsgInterested})
 	if m, _, err := p.recv(); err != nil || m.ID != torrent.MsgUnchoke {
-		t.Fatalf("after the bad have: %v, %v; want an unchoke", m, err)
+		t.Fatalf("fresh connection: %v, %v; want an unchoke", m, err)
 	}
 	p.send(&torrent.Message{ID: torrent.MsgRequest, Index: 1, Begin: 0, Length: torrent.BlockSize})
 	if m, _, err := p.recv(); err != nil || m.ID != torrent.MsgPiece || !bytes.Equal(m.Payload, data[meta.PieceLength:][:torrent.BlockSize]) {
-		t.Fatalf("after the bad have: %v, %v; want piece 1's first block", m, err)
+		t.Fatalf("fresh connection: %v, %v; want piece 1's first block", m, err)
 	}
 	if got := s.MsgCounts()["have"]; got != 1 {
 		t.Errorf("seeder counted %d haves, want the bad one", got)

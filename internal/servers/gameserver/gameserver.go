@@ -75,10 +75,9 @@ type Config struct {
 	Heartbeat time.Duration
 	// Seed drives teleport placement.
 	Seed int64
-	// Engine, PoolSize, SourceTimeout configure the runtime.
-	Engine        runtime.EngineKind
-	PoolSize      int
-	SourceTimeout time.Duration
+	// Engine, PoolSize configure the runtime.
+	Engine   runtime.EngineKind
+	PoolSize int
 	// Telemetry, when non-nil, is the server's observer: flow terminals
 	// (moves and turns) by path, node latencies, and queue depths. The
 	// game server has no TCP connection plane, so no admission counters
@@ -194,7 +193,6 @@ func New(cfg Config) (*Server, error) {
 	rt, err := runtime.New(prog, b,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
-		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(cfg.Telemetry.Observer()),
 	)
 	if err != nil {
@@ -266,31 +264,21 @@ func (s *Server) Run(ctx context.Context) error {
 
 // --- node implementations --------------------------------------------------
 
-// receive reads one datagram, honoring the event engine's poll deadline.
+// receive blocks for one datagram. Start closes the socket on
+// cancellation, which ends the read.
 func (s *Server) receive(fl *runtime.Flow) (runtime.Record, error) {
 	buf := make([]byte, 64)
-	deadline := time.Time{}
-	if fl.SourceTimeout > 0 {
-		deadline = time.Now().Add(fl.SourceTimeout)
-	}
-	if err := s.conn.SetReadDeadline(deadline); err != nil {
-		return nil, runtime.ErrStop
-	}
 	n, addr, err := s.conn.ReadFromUDP(buf)
 	if err != nil {
 		if fl.Ctx.Err() != nil {
 			return nil, fl.Ctx.Err()
-		}
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return nil, runtime.ErrNoData
 		}
 		return nil, runtime.ErrStop // socket closed
 	}
 	return runtime.Record{&packet{data: buf[:n], addr: addr}}, nil
 }
 
-// heartbeat ticks at the configured rate; the deadline-aware interval
-// source keeps the event engine's dispatcher responsive between turns.
+// heartbeat ticks at the configured rate.
 func (s *Server) heartbeat(fl *runtime.Flow) (runtime.Record, error) {
 	return s.heartbeatTick(fl)
 }

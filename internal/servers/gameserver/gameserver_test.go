@@ -267,9 +267,8 @@ func TestHeartbeatCadence(t *testing.T) {
 // (fair lock grants) and clients must keep receiving broadcasts.
 func TestEventEngineBroadcastsUnderLoad(t *testing.T) {
 	s, addr, stop := startServer(t, Config{
-		Heartbeat:     50 * time.Millisecond,
-		Engine:        runtime.EventDriven,
-		SourceTimeout: 5 * time.Millisecond,
+		Heartbeat: 50 * time.Millisecond,
+		Engine:    runtime.EventDriven,
 	})
 	defer stop()
 

@@ -98,10 +98,9 @@ type Config struct {
 	// cost (the paper's compression averaged 0.5 s; benchmarks here use
 	// milliseconds). Zero means JPEG encoding cost only.
 	CompressWork time.Duration
-	// Engine, PoolSize, SourceTimeout configure the runtime.
-	Engine        runtime.EngineKind
-	PoolSize      int
-	SourceTimeout time.Duration
+	// Engine, PoolSize configure the runtime.
+	Engine   runtime.EngineKind
+	PoolSize int
 	// Telemetry, when non-nil, is the server's observer: flow terminals
 	// by path (the §5.2 profile), node latencies, queue depths, and the
 	// connection plane's sheds and admission counters.
@@ -181,7 +180,6 @@ func New(cfg Config) (*Server, error) {
 	rt, err := runtime.New(prog, b,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
-		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(obs),
 		// Admission is external: the connection plane injects every flow.
 		runtime.WithKeepAlive(),

@@ -170,9 +170,8 @@ func TestAllEnginesServe(t *testing.T) {
 	for _, kind := range []runtime.EngineKind{runtime.ThreadPerFlow, runtime.ThreadPool, runtime.EventDriven} {
 		t.Run(kind.String(), func(t *testing.T) {
 			_, addr, stop := startServer(t, Config{
-				Engine:        kind,
-				PoolSize:      4,
-				SourceTimeout: 2 * time.Millisecond,
+				Engine:   kind,
+				PoolSize: 4,
 			})
 			defer stop()
 			status, _ := fetch(t, addr, 0, 2)

@@ -70,10 +70,9 @@ func TestKeepAlivePipelinedSequence(t *testing.T) {
 	} {
 		t.Run(kind.String(), func(t *testing.T) {
 			_, addr, stop := startServer(t, Config{
-				Files:         files,
-				Engine:        kind,
-				PoolSize:      4,
-				SourceTimeout: 2 * time.Millisecond,
+				Files:    files,
+				Engine:   kind,
+				PoolSize: 4,
 			})
 			defer stop()
 
@@ -217,10 +216,9 @@ func TestMaxKeepAliveCapEnforced(t *testing.T) {
 func TestStealEngineKeepAliveReregistrationStress(t *testing.T) {
 	files := loadgen.NewFileSet(1)
 	_, addr, stop := startServer(t, Config{
-		Files:         files,
-		Engine:        runtime.WorkStealing,
-		SourceTimeout: 2 * time.Millisecond,
-		ScriptWork:    50, // keep dynamic requests cheap under -race
+		Files:      files,
+		Engine:     runtime.WorkStealing,
+		ScriptWork: 50, // keep dynamic requests cheap under -race
 	})
 	defer stop()
 

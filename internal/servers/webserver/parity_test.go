@@ -47,8 +47,7 @@ func parityTargets(files *loadgen.FileSet) []parityTarget {
 	var targets []parityTarget
 	for _, kind := range runtime.EngineKinds() {
 		targets = append(targets, parityTarget{"flux-" + kind.String(), func() (parityServer, error) {
-			return New(Config{Files: files, Engine: kind, PoolSize: 4,
-				SourceTimeout: 2 * time.Millisecond, MaxKeepAlive: parityKeepAlive})
+			return New(Config{Files: files, Engine: kind, PoolSize: 4, MaxKeepAlive: parityKeepAlive})
 		}})
 	}
 	return append(targets,

@@ -32,7 +32,6 @@ func TestOverloadShedsAndAnnouncesClose(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{
 		Files:          files,
 		Engine:         runtime.EventDriven,
-		SourceTimeout:  2 * time.Millisecond,
 		AdmitWatermark: 50,
 		Telemetry:      tel,
 	})
@@ -136,9 +135,8 @@ func TestShutdownWhileInjecting(t *testing.T) {
 				// keep-alive connection holds a worker inside read(2) for
 				// the whole test, and the busy clients need workers of
 				// their own.
-				PoolSize:      8,
-				SourceTimeout: 2 * time.Millisecond,
-				ScriptWork:    50,
+				PoolSize:   8,
+				ScriptWork: 50,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -254,10 +252,9 @@ func TestFlowAccountingMatchesConversations(t *testing.T) {
 	} {
 		t.Run(kind.String(), func(t *testing.T) {
 			srv, err := New(Config{
-				Files:         files,
-				Engine:        kind,
-				PoolSize:      8,
-				SourceTimeout: 2 * time.Millisecond,
+				Files:    files,
+				Engine:   kind,
+				PoolSize: 8,
 			})
 			if err != nil {
 				t.Fatal(err)

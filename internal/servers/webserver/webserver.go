@@ -110,8 +110,6 @@ type Config struct {
 	Engine runtime.EngineKind
 	// PoolSize is the worker count for the thread-pool engine.
 	PoolSize int
-	// SourceTimeout is the event engine's source polling deadline.
-	SourceTimeout time.Duration
 	// Telemetry, when non-nil, is the server's observer: flow terminals
 	// by path (the §5.2 profile), node latencies, queue depths, the
 	// connection plane's sheds and admission counters, and the dynamic
@@ -248,7 +246,6 @@ func New(cfg Config) (*Server, error) {
 	rt, err := runtime.New(prog, b,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
-		runtime.WithSourceTimeout(cfg.SourceTimeout),
 		runtime.WithObserver(obs),
 		runtime.WithQueueSampleInterval(netkit.SamplePeriod(cfg.AdmitWatermark)),
 		// Admission is external (the connection plane injects every

@@ -217,10 +217,9 @@ func TestAllEnginesServe(t *testing.T) {
 	for _, kind := range []runtime.EngineKind{runtime.ThreadPerFlow, runtime.ThreadPool, runtime.EventDriven} {
 		t.Run(kind.String(), func(t *testing.T) {
 			_, addr, stop := startServer(t, Config{
-				Files:         files,
-				Engine:        kind,
-				PoolSize:      4,
-				SourceTimeout: 2 * time.Millisecond,
+				Files:    files,
+				Engine:   kind,
+				PoolSize: 4,
 			})
 			defer stop()
 			status, _ := get(t, addr, files.Path(0, 1, 1))
